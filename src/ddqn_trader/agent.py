@@ -230,6 +230,7 @@ class Agent:
         self.gradient_steps = gradient_steps
         self._replay_rng = replay_rng
         self._dropout_rng = dropout_rng
+        self._workspace: net.Workspace | None = None  # allocated by the first gradient step
 
     @classmethod
     def create(
@@ -274,18 +275,27 @@ def select_action(
     return Action(int(np.argmax(q[0])))
 
 
-def compute_targets(agent: Agent, batch: TransitionBatch) -> np.ndarray:
-    """Double-Q targets for a batch, all forwards in eval mode."""
+def compute_targets(
+    agent: Agent, batch: TransitionBatch, workspace: net.Workspace | None = None
+) -> np.ndarray:
+    """Double-Q targets for a batch, all forwards in eval mode.
+
+    The online network runs layers 1–2 once over [states; next_states], so
+    afterwards ``workspace`` (stacked, sized for the batch) also holds the
+    hidden activations of ``batch.states`` that the loss needs.
+    """
     cfg = agent.config
-    q_online_next, _ = net.forward(agent.online, batch.next_states, cfg.net, mode="eval")
-    best_next = np.argmax(q_online_next, axis=1)
-    q_target_next, _ = net.forward(agent.target, batch.next_states, cfg.net, mode="eval")
-    bootstrapped = q_target_next[np.arange(len(batch)), best_next]
+    n = len(batch)
+    ws = workspace if workspace is not None else net.Workspace(cfg.net, n, stacked=True)
+    ws.hidden(agent.online, batch.states, batch.next_states)
+    best_next = np.argmax(ws.head(agent.online, n, 2 * n), axis=1)
+    q_target_next = ws.target_q(agent.target, batch.next_states)
+    bootstrapped = q_target_next[np.arange(n), best_next]
     return batch.rewards + cfg.gamma * bootstrapped * ~batch.dones
 
 
 def sync_target(agent: Agent) -> None:
-    agent.target = agent.online.clone()
+    np.copyto(agent.target.flat, agent.online.flat)
 
 
 def train_step(agent: Agent) -> float | None:
@@ -299,10 +309,11 @@ def train_step(agent: Agent) -> float | None:
     if agent.buffer.size < cfg.effective_warmup or agent.buffer.size < cfg.batch_size:
         return None
     batch = agent.buffer.sample(cfg.batch_size, agent._replay_rng)
-    targets = compute_targets(agent, batch)
-    loss, grads = net.loss_and_grads(
-        agent.online, batch.states, batch.actions, targets, cfg.net,
-        mode="train", rng=agent._dropout_rng,
+    if agent._workspace is None:
+        agent._workspace = net.Workspace(cfg.net, cfg.batch_size, stacked=True)
+    targets = compute_targets(agent, batch, agent._workspace)
+    loss, grads = agent._workspace.loss_and_grads(
+        agent.online, batch.actions, targets, agent._dropout_rng
     )
     agent.online, agent.adam = net.adam_step(agent.online, grads, agent.adam, cfg.lr)
     agent.gradient_steps += 1

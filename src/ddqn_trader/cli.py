@@ -361,12 +361,19 @@ def cmd_report(args) -> int:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read report {path}: {exc}") from exc
-        for row in data:
-            report = PerformanceReport(
-                model=row["model"], e_r=row["e_r"], std_r=row["std_r"],
-                sharpe=row["sharpe"], mse=row["mse"], accuracy=row["accuracy"],
-                n_days=row["n_days"],
-            )
+        if not isinstance(data, list):
+            raise DataError(f"{path}: expected a list of report rows, got {type(data).__name__}")
+        for i, row in enumerate(data):
+            if not isinstance(row, dict):
+                raise DataError(f"{path}: row {i} is not an object")
+            try:
+                report = PerformanceReport(
+                    model=row["model"], e_r=row["e_r"], std_r=row["std_r"],
+                    sharpe=row["sharpe"], mse=row["mse"], accuracy=row["accuracy"],
+                    n_days=row["n_days"],
+                )
+            except KeyError as exc:
+                raise DataError(f"{path}: row {i} lacks field {exc}") from None
             rows.setdefault(report.model, report)
     if not rows:
         raise DataError("no report rows found in inputs")

@@ -476,9 +476,16 @@ def read_frame_csv(path, model_id: ModelId | int) -> FeatureFrame:
         for raw in reader:
             if not raw:
                 continue
-            dates.append(date.fromisoformat(raw[0]))
-            rows.append([float(v) for v in raw[1:-1]])
-            targets.append(float(raw[-1]))
+            if len(raw) != len(header):
+                raise DataError(
+                    f"{path}: line {reader.line_num}: {len(raw)} cells, header has {len(header)}"
+                )
+            try:
+                dates.append(date.fromisoformat(raw[0]))
+                rows.append([float(v) for v in raw[1:-1]])
+                targets.append(float(raw[-1]))
+            except ValueError as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not dates:
         raise DataError(f"{path}: no data rows")
     columns = tuple((role, h) for role in MODEL_ROLES[model] for h in (1, 5))

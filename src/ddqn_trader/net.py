@@ -9,6 +9,11 @@ on plain numpy arrays. The loss regressed is
 
 so gradients flow only through each sample's taken action plus the activity
 penalty, and the learning rate is batch-size invariant.
+
+Parameters live in one float64 vector with per-layer views into it, and the
+activations and gradients of a batch live in a reusable :class:`Workspace`,
+so a gradient step that keeps its workspace allocates no [batch, width]
+activation or gradient arrays.
 """
 
 from __future__ import annotations
@@ -51,40 +56,50 @@ class NetConfig:
         return ((self.input_dim, h1), (h1, h2), (h2, self.output_dim))
 
 
-@dataclass
 class NetParams:
-    """Per-layer weight matrices [in, out] and bias vectors [out]."""
+    """Per-layer weight matrices [in, out] and bias vectors [out], stored in one vector.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    ``flat`` holds W1, b1, W2, b2, W3, b3 back to back; ``weights[i]`` and
+    ``biases[i]`` are reshaped views into it. Writing through a view writes
+    ``flat``, and one vector op on ``flat`` updates every layer.
+    """
+
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+        blocks = [np.ravel(a) for pair in zip(weights, biases) for a in pair]
+        self._bind(np.concatenate(blocks, dtype=np.float64), [np.shape(w) for w in weights])
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes) -> "NetParams":
+        """Views over an existing vector laid out as W1, b1, W2, b2, W3, b3."""
+        params = cls.__new__(cls)
+        params._bind(flat, shapes)
+        return params
+
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        self.flat = flat
+        self.shapes = tuple(tuple(s) for s in shapes)
+        self.weights, self.biases = [], []
+        offset = 0
+        for fan_in, fan_out in self.shapes:
+            self.weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+            offset += fan_in * fan_out
+            self.biases.append(flat[offset : offset + fan_out])
+            offset += fan_out
 
     def clone(self) -> "NetParams":
-        return NetParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return NetParams.from_flat(self.flat.copy(), self.shapes)
 
 
 @dataclass
 class AdamState:
-    m_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    """First and second moments laid out like ``NetParams.flat``."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-
-
-@dataclass(frozen=True)
-class ForwardCache:
-    """Intermediates of a train-mode forward, reused by the backward pass."""
-
-    x: np.ndarray
-    z1: np.ndarray
-    a1: np.ndarray
-    z2: np.ndarray
-    a2: np.ndarray
-    a2_dropped: np.ndarray
-    mask: np.ndarray | None  # None when dropout_rate == 0
 
 
 def param_count(config: NetConfig) -> int:
@@ -104,18 +119,189 @@ def init_params(config: NetConfig, rng: np.random.Generator | None = None) -> Ne
 
 
 def init_adam(config: NetConfig) -> AdamState:
-    shapes = config.layer_shapes
-    return AdamState(
-        m_weights=[np.zeros(s) for s in shapes],
-        m_biases=[np.zeros(s[1]) for s in shapes],
-        v_weights=[np.zeros(s) for s in shapes],
-        v_biases=[np.zeros(s[1]) for s in shapes],
-    )
+    n = param_count(config)
+    return AdamState(m=np.zeros(n), v=np.zeros(n))
 
 
-def _check_finite(arr: np.ndarray, where: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericsError(f"non-finite values in {where}")
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
+    out = np.matmul(x, w, out=out)
+    out += b
+    return out
+
+
+def _all_finite(arr: np.ndarray, flags: np.ndarray) -> bool:
+    """np.isfinite(arr).all(), written into the bool scratch ``flags``."""
+    ok = np.isfinite(arr, out=flags[: arr.size].reshape(arr.shape))
+    return bool(ok.all())
+
+
+def _hidden(params: NetParams, x: np.ndarray, a1=None, a2=None, flags=None, checked: int = 0):
+    """Layers 1–2, each ReLU applied in place on its pre-activation (a > 0
+    exactly where z > 0, so the backward pass reads the mask off a).
+
+    Returns (a2, bad): bad names the first layer whose pre-activations on
+    the first ``checked`` rows hold a non-finite value, else None.
+    """
+    w, b = params.weights, params.biases
+    bad = None
+    a1 = _affine(x, w[0], b[0], a1)
+    if checked and not _all_finite(a1[:checked], flags):
+        bad = "hidden layer 1"
+    np.maximum(a1, 0.0, out=a1)
+    a2 = _affine(a1, w[1], b[1], a2)
+    if checked and bad is None and not _all_finite(a2[:checked], flags):
+        bad = "hidden layer 2"
+    np.maximum(a2, 0.0, out=a2)
+    return a2, bad
+
+
+class Workspace:
+    """Activation and gradient buffers for batches of up to ``batch`` rows.
+
+    A gradient step that reuses one allocates no [batch, width] arrays. With
+    ``stacked``, the input and online hidden buffers have room for twice the
+    rows, so one pass runs layers 1–2 on [states; next_states]. The target
+    network's forward buffers are reused as dL/dz1 and dL/dz2, and the
+    dropped-out layer 2 as the L2 scratch once dW3 is computed.
+
+    Use: :meth:`hidden`, then any of :meth:`head` and :meth:`target_q`, then
+    :meth:`train_q` or :meth:`loss_and_grads`. Returned arrays and gradients
+    are views into the buffers, overwritten by the next call.
+    """
+
+    def __init__(self, config: NetConfig, batch: int, stacked: bool = False):
+        h1, h2 = config.hidden_dims
+        rows = 2 * batch if stacked else batch
+        self.config = config
+        self.x = np.empty((rows, config.input_dim))
+        self.a1 = np.empty((rows, h1))
+        self.a2 = np.empty((rows, h2))
+        self.q = np.empty((rows, config.output_dim))
+        self.t1 = np.empty((batch, h1))  # target layer 1, then dL/dz1
+        self.t2 = np.empty((batch, h2))  # target layer 2, then dL/dz2
+        self.tq = np.empty((batch, config.output_dim))
+        self.dq = np.empty((batch, config.output_dim))
+        self._mask = np.empty((batch, h2))
+        self._scratch = np.empty(batch * max(h1, h2))  # dropped-out a2, then L2 terms
+        self._flags = np.empty(batch * max(h1, h2, config.output_dim), dtype=bool)
+        self.grads = NetParams.from_flat(np.empty(param_count(config)), config.layer_shapes)
+        self.rows = 0  # train rows of the last hidden pass
+        self.mask: np.ndarray | None = None  # dropout mask of the last train_q
+        self._dropped: np.ndarray | None = None
+        self._bad: str | None = None
+
+    def _view(self, buf: np.ndarray, width: int) -> np.ndarray:
+        return buf[: self.rows * width].reshape(self.rows, width)
+
+    def hidden(self, params: NetParams, states: np.ndarray,
+               next_states: np.ndarray | None = None) -> None:
+        """Layers 1–2 over ``states``, stacked with ``next_states`` if given.
+
+        ``states`` are the train rows; a non-finite pre-activation in them is
+        reported by the next :meth:`loss_and_grads`.
+        """
+        n = len(states)
+        end = n if next_states is None else n + len(next_states)
+        self.x[:n] = states
+        if next_states is not None:
+            self.x[n:end] = next_states
+        self.rows = n
+        _, self._bad = _hidden(params, self.x[:end], self.a1[:end], self.a2[:end],
+                               self._flags, checked=n)
+
+    def head(self, params: NetParams, start: int, stop: int) -> np.ndarray:
+        """Eval-mode Q-values of stacked rows [start, stop) of the last hidden pass."""
+        return _affine(self.a2[start:stop], params.weights[2], params.biases[2],
+                       self.q[start:stop])
+
+    def target_q(self, params: NetParams, states: np.ndarray) -> np.ndarray:
+        """Eval-mode Q-values of a second network (the target) on ``states``."""
+        n = len(states)
+        a2, _ = _hidden(params, states, self.t1[:n], self.t2[:n])
+        return _affine(a2, params.weights[2], params.biases[2], self.tq[:n])
+
+    def train_q(self, params: NetParams, rng: np.random.Generator | None) -> np.ndarray:
+        """Train-mode Q-values of the train rows: a fresh inverted-dropout mask
+        over layer 2, drawn from ``rng``, then the output layer."""
+        n, rate = self.rows, self.config.dropout_rate
+        a2 = self.a2[:n]
+        if rate > 0.0:
+            if rng is None:
+                raise ValueError("train-mode forward with dropout needs an rng")
+            keep = 1.0 - rate
+            self.mask = rng.random(out=self._mask[:n])
+            np.less(self.mask, keep, out=self.mask)
+            self.mask /= keep
+            self._dropped = np.multiply(a2, self.mask, out=self._view(self._scratch, a2.shape[1]))
+        else:
+            self.mask = None
+            self._dropped = a2
+        return _affine(self._dropped, params.weights[2], params.biases[2], self.q[:n])
+
+    def loss_and_grads(
+        self,
+        params: NetParams,
+        actions: np.ndarray,
+        targets: np.ndarray,
+        rng: np.random.Generator | None = None,
+    ) -> tuple[float, NetParams]:
+        """Loss and gradients for the train rows of the last hidden pass; see
+        :func:`loss_and_grads`. The gradients are ``self.grads``."""
+        actions = np.asarray(actions, dtype=np.intp)
+        targets = np.asarray(targets, dtype=np.float64)
+        n = self.rows
+        if len(actions) != n or len(targets) != n:
+            raise ValueError(f"need {n} actions and targets, got {len(actions)} and {len(targets)}")
+        if not np.all(np.isfinite(targets)):
+            raise NumericsError("non-finite targets")
+        q = self.train_q(params, rng)
+        if self._bad is not None:
+            raise NumericsError(f"non-finite values in {self._bad}")
+        if not _all_finite(q, self._flags):
+            raise NumericsError("non-finite values in output layer")
+
+        x, a1, a2 = self.x[:n], self.a1[:n], self.a2[:n]
+        rows = np.arange(n)
+        err = q[rows, actions] - targets
+        l2 = self.config.l2_activity
+        loss = float(np.mean(err**2))
+        if l2 > 0.0:
+            sq1 = np.square(a1, out=self.t1[:n])
+            sq2 = np.square(a2, out=self.t2[:n])
+            loss += l2 * float(np.sum(sq1) + np.sum(sq2)) / n
+        if not math.isfinite(loss):
+            raise NumericsError("non-finite loss")
+
+        w, g = params.weights, self.grads
+        dq = self.dq[:n]
+        dq.fill(0.0)
+        dq[rows, actions] = 2.0 * err / n
+        np.matmul(self._dropped.T, dq, out=g.weights[2])
+        np.sum(dq, axis=0, out=g.biases[2])
+        dz2 = np.matmul(dq, w[2].T, out=self.t2[:n])
+        if self.mask is not None:
+            dz2 *= self.mask
+        if l2 > 0.0:
+            dz2 += np.multiply(a2, 2.0 * l2 / n, out=self._view(self._scratch, a2.shape[1]))
+        dz2 *= np.greater(a2, 0.0, out=self._view(self._flags, a2.shape[1]))
+        np.matmul(a1.T, dz2, out=g.weights[1])
+        np.sum(dz2, axis=0, out=g.biases[1])
+        dz1 = np.matmul(dz2, w[1].T, out=self.t1[:n])
+        if l2 > 0.0:
+            dz1 += np.multiply(a1, 2.0 * l2 / n, out=self._view(self._scratch, a1.shape[1]))
+        dz1 *= np.greater(a1, 0.0, out=self._view(self._flags, a1.shape[1]))
+        np.matmul(x.T, dz1, out=g.weights[0])
+        np.sum(dz1, axis=0, out=g.biases[0])
+        return loss, g
+
+
+def _as_states(states, config: NetConfig) -> np.ndarray:
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim != 2 or states.shape[1] != config.input_dim:
+        raise ValueError(
+            f"states must be [batch, {config.input_dim}], got shape {states.shape}"
+        )
+    return states
 
 
 def forward(
@@ -124,38 +310,22 @@ def forward(
     config: NetConfig,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, ForwardCache | None]:
+) -> tuple[np.ndarray, Workspace | None]:
     """Q-values for a batch of states, shape [batch, 3].
 
     Eval mode is deterministic (no dropout, no cache). Train mode samples a
     fresh inverted-dropout mask over the second hidden layer and returns the
-    cache the backward pass needs.
+    fresh workspace holding its activations (``.mask`` is the mask).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    states = np.asarray(states, dtype=np.float64)
-    if states.ndim != 2 or states.shape[1] != config.input_dim:
-        raise ValueError(
-            f"states must be [batch, {config.input_dim}], got shape {states.shape}"
-        )
-    w, b = params.weights, params.biases
-    z1 = states @ w[0] + b[0]
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ w[1] + b[1]
-    a2 = np.maximum(z2, 0.0)
-    if mode == "train" and config.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("train-mode forward with dropout needs an rng")
-        keep = 1.0 - config.dropout_rate
-        mask = (rng.random(a2.shape) < keep) / keep
-        a2_dropped = a2 * mask
-    else:
-        mask = None
-        a2_dropped = a2
-    q = a2_dropped @ w[2] + b[2]
+    states = _as_states(states, config)
     if mode == "eval":
-        return q, None
-    return q, ForwardCache(states, z1, a1, z2, a2, a2_dropped, mask)
+        a2, _ = _hidden(params, states)
+        return _affine(a2, params.weights[2], params.biases[2]), None
+    ws = Workspace(config, len(states))
+    ws.hidden(params, states)
+    return ws.train_q(params, rng), ws
 
 
 def loss_and_grads(
@@ -175,82 +345,30 @@ def loss_and_grads(
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    actions = np.asarray(actions, dtype=np.intp)
-    targets = np.asarray(targets, dtype=np.float64)
     if len(actions) == 0:
         raise ValueError("empty batch")
-    if not np.all(np.isfinite(targets)):
-        raise NumericsError("non-finite targets")
     if mode == "eval":  # dropout off regardless of config, used by gradient checks
         config = dataclasses.replace(config, dropout_rate=0.0)
-    q, cache = forward(params, states, config, mode="train", rng=rng)
-    assert cache is not None
-    _check_finite(cache.z1, "hidden layer 1")
-    _check_finite(cache.z2, "hidden layer 2")
-    _check_finite(q, "output layer")
-
-    batch = len(actions)
-    rows = np.arange(batch)
-    err = q[rows, actions] - targets
-    l2 = config.l2_activity
-    loss = float(np.mean(err**2))
-    if l2 > 0.0:
-        loss += l2 * float(np.sum(cache.a1**2) + np.sum(cache.a2**2)) / batch
-    if not math.isfinite(loss):
-        raise NumericsError("non-finite loss")
-
-    w = params.weights
-    dq = np.zeros_like(q)
-    dq[rows, actions] = 2.0 * err / batch
-    dw3 = cache.a2_dropped.T @ dq
-    db3 = dq.sum(axis=0)
-    da2_dropped = dq @ w[2].T
-    da2 = da2_dropped * cache.mask if cache.mask is not None else da2_dropped
-    if l2 > 0.0:
-        da2 = da2 + (2.0 * l2 / batch) * cache.a2
-    dz2 = da2 * (cache.z2 > 0.0)
-    dw2 = cache.a1.T @ dz2
-    db2 = dz2.sum(axis=0)
-    da1 = dz2 @ w[1].T
-    if l2 > 0.0:
-        da1 = da1 + (2.0 * l2 / batch) * cache.a1
-    dz1 = da1 * (cache.z1 > 0.0)
-    dw1 = cache.x.T @ dz1
-    db1 = dz1.sum(axis=0)
-    return loss, NetParams([dw1, dw2, dw3], [db1, db2, db3])
+    states = _as_states(states, config)
+    ws = Workspace(config, len(states))
+    ws.hidden(params, states)
+    return ws.loss_and_grads(params, actions, targets, rng)
 
 
 def adam_step(
     params: NetParams, grads: NetParams, state: AdamState, lr: float
 ) -> tuple[NetParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
+    """One bias-corrected Adam update on the flat vectors; returns fresh params
+    and state and leaves its inputs untouched."""
     t = state.t + 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    new_w, new_b = [], []
-    m_w, m_b, v_w, v_b = [], [], [], []
-
-    def _update(p, g, m, v, out_p, out_m, out_v):
-        m_new = b1 * m + (1.0 - b1) * g
-        v_new = b2 * v + (1.0 - b2) * g**2
-        out_p.append(p - lr * (m_new / c1) / (np.sqrt(v_new / c2) + eps))
-        out_m.append(m_new)
-        out_v.append(v_new)
-
-    for i in range(len(params.weights)):
-        _update(params.weights[i], grads.weights[i], state.m_weights[i], state.v_weights[i],
-                new_w, m_w, v_w)
-        _update(params.biases[i], grads.biases[i], state.m_biases[i], state.v_biases[i],
-                new_b, m_b, v_b)
-    return (
-        NetParams(new_w, new_b),
-        AdamState(m_w, m_b, v_w, v_b, t=t, beta1=b1, beta2=b2, eps=eps),
-    )
-
-
-def clone(params: NetParams) -> NetParams:
-    return params.clone()
+    g = grads.flat
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * g**2
+    flat = params.flat - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    return NetParams.from_flat(flat, params.shapes), AdamState(m, v, t=t, beta1=b1, beta2=b2, eps=eps)
 
 
 def config_to_dict(config: NetConfig) -> dict:
@@ -284,6 +402,10 @@ def params_to_dict(params: NetParams) -> dict:
 
 
 def params_from_dict(d: dict, config: NetConfig) -> NetParams:
+    layers = len(config.layer_shapes)
+    if len(d["weights"]) != layers or len(d["biases"]) != layers:
+        raise CheckpointError(f"expected {layers} weight and bias blocks, got "
+                              f"{len(d['weights'])} and {len(d['biases'])}")
     weights, biases = [], []
     for shape, flat, bias in zip(config.layer_shapes, d["weights"], d["biases"]):
         w = np.array(flat, dtype=np.float64)

@@ -228,6 +228,8 @@ def save_checkpoint(agent: Agent, path) -> None:
     collection from an empty buffer.
     """
     cfg = agent.config
+    m = net.params_to_dict(net.NetParams.from_flat(agent.adam.m, cfg.net.layer_shapes))
+    v = net.params_to_dict(net.NetParams.from_flat(agent.adam.v, cfg.net.layer_shapes))
     record = {
         "version": CHECKPOINT_VERSION,
         "net_config": net.config_to_dict(cfg.net),
@@ -243,10 +245,10 @@ def save_checkpoint(agent: Agent, path) -> None:
         "online": net.params_to_dict(agent.online),
         "target": net.params_to_dict(agent.target),
         "adam": {
-            "m_weights": [m.flatten().tolist() for m in agent.adam.m_weights],
-            "m_biases": [m.tolist() for m in agent.adam.m_biases],
-            "v_weights": [v.flatten().tolist() for v in agent.adam.v_weights],
-            "v_biases": [v.tolist() for v in agent.adam.v_biases],
+            "m_weights": m["weights"],
+            "m_biases": m["biases"],
+            "v_weights": v["weights"],
+            "v_biases": v["biases"],
             "t": agent.adam.t,
         },
         "gradient_steps": agent.gradient_steps,
@@ -287,17 +289,19 @@ def load_checkpoint(path, seed: int = 0) -> Agent:
         online = net.params_from_dict(record["online"], net_config)
         target = net.params_from_dict(record["target"], net_config)
         adam_rec = record["adam"]
-        shapes = net_config.layer_shapes
-        adam = net.AdamState(
-            m_weights=[np.array(m).reshape(s) for m, s in zip(adam_rec["m_weights"], shapes)],
-            m_biases=[np.array(m) for m in adam_rec["m_biases"]],
-            v_weights=[np.array(v).reshape(s) for v, s in zip(adam_rec["v_weights"], shapes)],
-            v_biases=[np.array(v) for v in adam_rec["v_biases"]],
-            t=int(adam_rec["t"]),
-        )
+
+        def moment(k: str) -> np.ndarray:
+            blocks = {"weights": adam_rec[f"{k}_weights"], "biases": adam_rec[f"{k}_biases"]}
+            return net.params_from_dict(blocks, net_config).flat
+
+        adam = net.AdamState(moment("m"), moment("v"), t=int(adam_rec["t"]))
         gradient_steps = int(record["gradient_steps"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
+    for name, values in (("online", online.flat), ("target", target.flat),
+                         ("Adam m", adam.m), ("Adam v", adam.v)):
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"corrupt checkpoint {path}: non-finite {name} values")
     streams = rng_streams(seed)
     return Agent(
         config=config,

@@ -15,7 +15,15 @@ from ddqn_trader.agent import (
 )
 from ddqn_trader.env import Action
 from ddqn_trader.errors import ConfigError
-from ddqn_trader.net import NetConfig, NetParams, forward
+from ddqn_trader.net import (
+    NetConfig,
+    NetParams,
+    Workspace,
+    adam_step,
+    forward,
+    init_params,
+    loss_and_grads,
+)
 from ddqn_trader.seeding import rng_streams
 
 CHI2_CRIT_DF9_P01 = 21.666  # chi-square critical value, df=9, p=0.01
@@ -350,3 +358,54 @@ def test_dropout_draws_do_not_disturb_replay_stream():
     batch_a = a.buffer.sample(4, a._replay_rng)
     batch_b = b.buffer.sample(4, b._replay_rng)
     assert np.array_equal(batch_a.states, batch_b.states)
+
+
+def test_train_step_matches_unfused_reference():
+    # the fused step (one online pass over [states; next_states], reused
+    # workspace, in-place target sync) against the unfused primitives
+    config = AgentConfig(
+        net=NetConfig(input_dim=2, dropout_rate=0.25, l2_activity=1e-3),
+        batch_size=32, replay_capacity=512, target_sync_every=10, lr=1e-3,
+    )
+    agent = Agent.create(config, rngs=rng_streams(4))
+    ref = Agent.create(config, rngs=rng_streams(4))
+    for a in (agent, ref):
+        for i in range(200):
+            a.buffer.store(transition(reward=0.001 * i, done=i % 17 == 0, seed=i))
+    online, target, adam = ref.online, ref.target, ref.adam
+    for step in range(1, 51):
+        loss = train_step(agent)
+        batch = ref.buffer.sample(32, ref._replay_rng)
+        q_online, _ = forward(online, batch.next_states, config.net)
+        q_target, _ = forward(target, batch.next_states, config.net)
+        best = np.argmax(q_online, axis=1)
+        targets = batch.rewards + config.gamma * q_target[np.arange(32), best] * ~batch.dones
+        ref_loss, grads = loss_and_grads(online, batch.states, batch.actions, targets,
+                                         config.net, rng=ref._dropout_rng)
+        online, adam = adam_step(online, grads, adam, config.lr)
+        if step % 10 == 0:
+            target = online.clone()
+        assert loss == ref_loss
+        assert np.array_equal(agent.online.flat, online.flat)
+        assert np.array_equal(agent.target.flat, target.flat)
+        assert np.array_equal(agent.adam.m, adam.m)
+        assert np.array_equal(agent.adam.v, adam.v)
+        assert agent.adam.t == adam.t == step
+
+
+def test_workspace_reuse_leaks_nothing():
+    config = NetConfig(input_dim=3, dropout_rate=0.25, l2_activity=1e-3)
+    params = init_params(config, np.random.default_rng(0))
+    ws = Workspace(config, 8, stacked=True)
+    data = np.random.default_rng(1)
+    for n in (8, 5, 8):
+        states = data.normal(size=(n, 3))
+        next_states = data.normal(size=(n, 3))
+        actions = data.integers(0, 3, size=n)
+        targets = data.normal(size=n)
+        ws.hidden(params, states, next_states)
+        loss, grads = ws.loss_and_grads(params, actions, targets, np.random.default_rng(n))
+        fresh_loss, fresh_grads = loss_and_grads(params, states, actions, targets, config,
+                                                 rng=np.random.default_rng(n))
+        assert loss == fresh_loss
+        assert np.array_equal(grads.flat, fresh_grads.flat)

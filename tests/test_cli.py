@@ -205,3 +205,33 @@ def test_train_refuses_overwrite_without_force(workspace):
     assert main(args) == 0
     assert main(args) == 2
     assert main(args + ["--force"]) == 0
+
+
+@pytest.mark.parametrize("content", [
+    {"model": "M0"},  # an object instead of a list of rows
+    [{"model": "M0", "e_r": 0.1}],  # a row missing fields
+])
+def test_report_malformed_input_exit_code(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(content))
+    assert main(["report", "--out", str(tmp_path / "merged"), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_evaluate_non_numeric_frame_cell_exit_code(workspace, capsys):
+    tmp_path, config = workspace
+    prep, run = tmp_path / "prep", tmp_path / "run"
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    assert main(["train", "--config", str(config), "--frame", str(prep / "train_frame.csv"),
+                 "--out", str(run)]) == 0
+    frame = prep / "test_frame.csv"
+    lines = frame.read_text().splitlines()
+    lines[1] = lines[1].replace(",", ",abc", 1)
+    frame.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["evaluate", "--config", str(config), "--checkpoint",
+                 str(run / "checkpoint.json"), "--frame", str(frame),
+                 "--out", str(tmp_path / "ev")])
+    assert code == 2
+    assert "line 2" in capsys.readouterr().err

@@ -405,6 +405,19 @@ def test_frame_csv_rereads_deterministically(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_read_frame_csv_non_numeric_cell_names_file_and_line(tmp_path):
+    frame = build_features(ModelId.M0, synth_map())
+    path = tmp_path / "frame.csv"
+    write_frame_csv(frame, path)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[1] = "n/a"
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=r"frame\.csv: line 3: .*n/a"):
+        read_frame_csv(path, ModelId.M0)
+
+
 def test_read_frame_csv_width_mismatch(tmp_path):
     frame = build_features(ModelId.M0, synth_map())
     path = tmp_path / "frame.csv"

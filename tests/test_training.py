@@ -247,6 +247,31 @@ def test_checkpoint_version_mismatch(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("block", ["online", "target", "adam"])
+def test_checkpoint_non_finite_rejected(tmp_path, block):
+    _, agent = run_training(small_config(trend_frame(), episodes=1))
+    path = tmp_path / "agent.json"
+    save_checkpoint(agent, path)
+    record = json.loads(path.read_text())
+    key = "v_biases" if block == "adam" else "weights"
+    record[block][key][0][0] = float("nan")
+    path.write_text(json.dumps(record))  # json writes the bare NaN token it also reads
+    with pytest.raises(CheckpointError, match="non-finite"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_missing_layer_rejected(tmp_path):
+    _, agent = run_training(small_config(trend_frame(), episodes=1))
+    path = tmp_path / "agent.json"
+    save_checkpoint(agent, path)
+    record = json.loads(path.read_text())
+    record["target"]["weights"].pop()
+    record["target"]["biases"].pop()
+    path.write_text(json.dumps(record))
+    with pytest.raises(CheckpointError, match="blocks"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_corrupt_file(tmp_path):
     path = tmp_path / "agent.json"
     path.write_text("{not json")
