@@ -440,12 +440,9 @@ def write_frame_csv(frame: FeatureFrame, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date"] + [f"f{i}" for i in range(frame.n_features)] + ["target_return"])
-        for i, d in enumerate(frame.dates):
-            writer.writerow(
-                [d.isoformat()]
-                + [repr(float(v)) for v in frame.values[i]]
-                + [repr(float(frame.target_returns[i]))]
-            )
+        rows = zip(frame.dates, frame.values.tolist(), frame.target_returns.tolist())
+        for d, values, target in rows:
+            writer.writerow([d.isoformat()] + [repr(v) for v in values] + [repr(target)])
 
 
 def read_frame_csv(path, model_id: ModelId | int) -> FeatureFrame:

@@ -6,6 +6,7 @@ real desk-scale agents and together take a few minutes.
 """
 
 import numpy as np
+import pytest
 
 from ddqn_trader.agent import (
     Agent,
@@ -279,6 +280,7 @@ def test_criterion_05_accounting_identities():
 
 # -------------------------------------------------------------- criterion 6
 
+@pytest.mark.slow
 def test_criterion_06_learning_sanity():
     prices = synth_generate(mu=0.01, sigma=0.0, n_days=700, seed=42, regime="meanrevert")
     frame = build_features(ModelId.M0, {"spx": prices})
@@ -308,6 +310,7 @@ def test_criterion_06_learning_sanity():
 
 # -------------------------------------------------------------- criterion 7
 
+@pytest.mark.slow
 def test_criterion_07_cost_sensitivity():
     prices = synth_generate(mu=5e-5, sigma=0.0015, n_days=460, seed=77, regime="meanrevert")
     frame = build_features(ModelId.M0, {"spx": prices})

@@ -235,3 +235,25 @@ def test_evaluate_non_numeric_frame_cell_exit_code(workspace, capsys):
                  "--out", str(tmp_path / "ev")])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evaluate_non_finite_q_values_exit_code(workspace, capsys):
+    tmp_path, config = workspace
+    prep, run = tmp_path / "prep", tmp_path / "run"
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    assert main(["train", "--config", str(config), "--frame", str(prep / "train_frame.csv"),
+                 "--out", str(run)]) == 0
+    # finite weights that load, but whose Q-values overflow on every test day
+    checkpoint = run / "checkpoint.json"
+    record = json.loads(checkpoint.read_text())
+    for key in ("weights", "biases"):
+        record["online"][key] = [[v * 1e120 for v in layer] for layer in record["online"][key]]
+    checkpoint.write_text(json.dumps(record))
+    capsys.readouterr()
+    code = main(["evaluate", "--config", str(config), "--checkpoint", str(checkpoint),
+                 "--frame", str(prep / "test_frame.csv"), "--out", str(tmp_path / "ev")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "non-finite Q-values" in err and err.count("\n") == 1
+    assert not (tmp_path / "ev" / "report.json").exists()

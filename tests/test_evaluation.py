@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ddqn_trader.agent import Agent, AgentConfig
+from ddqn_trader.agent import Agent, AgentConfig, EpsilonSchedule, select_action
 from ddqn_trader.env import Action, CostModel, EnvConfig, TradingEnv
-from ddqn_trader.errors import DataError
+from ddqn_trader.errors import ConfigError, DataError, NumericsError
 from ddqn_trader.evaluation import (
     PerformanceReport,
     annualized_metrics,
@@ -19,6 +19,7 @@ from ddqn_trader.evaluation import (
 )
 from ddqn_trader.net import NetConfig, NetParams
 from ddqn_trader.seeding import rng_streams
+from ddqn_trader.training import TrainConfig, run_training
 
 from conftest import make_frame
 
@@ -122,6 +123,62 @@ def test_backtest_nav_matches_env_replay(frame300):
         env.step(int(action))
     assert abs(env.state.agent_nav - result.agent_nav[-1]) <= 1e-12
     assert abs(result.agent_nav[-1] - result.rewards.sum()) <= 1e-12
+
+
+def trained_agent(frame, costs, seed):
+    config = TrainConfig(
+        env=EnvConfig(frame=frame, episode_length=60, costs=costs),
+        agent=AgentConfig(net=NetConfig(input_dim=frame.n_features), batch_size=16,
+                          replay_capacity=1_000),
+        schedule=EpsilonSchedule(total_episodes=4, linear_until=2),
+        episodes=4,
+        seed=seed,
+    )
+    return run_training(config)[1]
+
+
+@pytest.mark.parametrize("seed, trained", [(1, False), (6, False), (3, True)])
+def test_batched_backtest_matches_per_step_path(frame300, seed, trained):
+    """The batched backtest equals select_action plus TradingEnv.step, exactly."""
+    costs = CostModel(2e-4, 1e-5)
+    agent = trained_agent(frame300, costs, seed) if trained else make_agent(seed=seed)
+    result = run_backtest(agent, frame300, costs)
+
+    n = len(frame300) - 1
+    expected = [int(select_action(agent, frame300.values[i], 0.0)) for i in range(n)]
+    assert result.actions.dtype == np.int64 and result.positions.dtype == np.int64
+    assert result.actions.tolist() == expected
+    env = TradingEnv(EnvConfig(frame=frame300, episode_length=n, costs=costs, start=0))
+    env.reset()
+    steps = [env.step(a) for a in expected]
+    assert result.positions.tolist() == [s.position for s in steps]
+    assert result.market_returns.tolist() == [s.market_return for s in steps]
+    assert result.rewards.tolist() == [s.reward for s in steps]
+    assert result.gross_returns.tolist() == [s.market_return * s.position for s in steps]
+    assert (result.gross_returns - [s.cost_paid for s in steps]).tolist() == result.rewards.tolist()
+    assert len(set(expected)) > 1  # a constant policy would not exercise trades and holds
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_backtest_non_finite_q_values_raise(frame300):
+    agent = make_agent(seed=5)
+    agent.online.flat[:] *= 1e120  # finite weights whose Q-values overflow
+    with pytest.raises(NumericsError, match=frame300.dates[0].isoformat()):
+        run_backtest(agent, frame300, NO_COST)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_backtest_non_finite_q_values_name_first_bad_date(frame300):
+    values = frame300.values.copy()
+    values[17] = 1e308  # a finite feature row whose Q-values overflow
+    frame = make_frame(frame300.target_returns, values)
+    with pytest.raises(NumericsError, match=frame.dates[17].isoformat()):
+        run_backtest(make_agent(seed=5), frame, NO_COST)
+
+
+def test_backtest_one_row_frame_rejected():
+    with pytest.raises(ConfigError, match="episode_length"):
+        run_backtest(zeroed_agent(), make_frame([0.01]), NO_COST)
 
 
 # ------------------------------------------------------- annualized metrics
