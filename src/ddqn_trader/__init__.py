@@ -11,7 +11,6 @@ from .agent import (
     AgentConfig,
     EpsilonSchedule,
     ReplayBuffer,
-    Transition,
     compute_targets,
     epsilon_at,
     select_action,

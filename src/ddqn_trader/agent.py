@@ -24,15 +24,6 @@ from .net import AdamState, NetConfig, NetParams
 from .seeding import rng_streams
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    done: bool
-
-
 @dataclass
 class TransitionBatch:
     states: np.ndarray  # [batch, input_dim]
@@ -94,15 +85,16 @@ class ReplayBuffer:
             self._next_states = _grown(self._next_states)
             self._dones = _grown(self._dones)
 
-    def store(self, transition: Transition) -> None:
-        state = np.asarray(transition.state, dtype=np.float64)
+    def store(self, state: np.ndarray, action: int, reward: float,
+              next_state: np.ndarray, done: bool) -> None:
+        """Write one transition at the cursor, overwriting the oldest once full."""
         self._ensure_room(len(state))
         i = self._cursor
         self._states[i] = state
-        self._actions[i] = int(transition.action)
-        self._rewards[i] = float(transition.reward)
-        self._next_states[i] = np.asarray(transition.next_state, dtype=np.float64)
-        self._dones[i] = bool(transition.done)
+        self._actions[i] = action
+        self._rewards[i] = reward
+        self._next_states[i] = next_state
+        self._dones[i] = done
         self._cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -118,19 +110,6 @@ class ReplayBuffer:
             next_states=self._next_states[idx],
             dones=self._dones[idx],
         )
-
-    def contents(self) -> list[Transition]:
-        """Occupied slots in storage order (handy for tests and debugging)."""
-        return [
-            Transition(
-                self._states[i].copy(),
-                int(self._actions[i]),
-                float(self._rewards[i]),
-                self._next_states[i].copy(),
-                bool(self._dones[i]),
-            )
-            for i in range(self.size)
-        ]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ rewards; the market benchmark NAV is the running sum of raw returns.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -99,9 +98,6 @@ class TradingEnv:
     def __init__(self, config: EnvConfig):
         self.config = config
         self._state: EnvState | None = None
-        self._rewards: list[float] = []
-        self._returns: list[float] = []
-        self._trace: list[dict] = []
 
     @property
     def state(self) -> EnvState:
@@ -125,9 +121,6 @@ class TradingEnv:
         self._state = EnvState(
             t=0, cursor=start, position=0, agent_nav=0.0, market_nav=0.0, done=False
         )
-        self._rewards = []
-        self._returns = []
-        self._trace = []
         return cfg.frame.values[start]
 
     def step(self, action: Action | int) -> StepResult:
@@ -149,21 +142,6 @@ class TradingEnv:
         st.cursor += 1
         st.t += 1
         st.done = st.t == cfg.episode_length
-        self._rewards.append(reward)
-        self._returns.append(market_return)
-        self._trace.append(
-            {
-                "step": st.t,
-                "date": cfg.frame.dates[st.cursor].isoformat(),
-                "action": int(action),
-                "position": new_pos,
-                "market_return": market_return,
-                "cost": cost,
-                "reward": reward,
-                "agent_nav": st.agent_nav,
-                "market_nav": st.market_nav,
-            }
-        )
         return StepResult(
             observation=cfg.frame.values[st.cursor],
             reward=reward,
@@ -173,19 +151,3 @@ class TradingEnv:
             cost_paid=cost,
             market_return=market_return,
         )
-
-    def nav_curves(self) -> tuple[np.ndarray, np.ndarray]:
-        """Prefix sums of rewards and of market returns, step-aligned."""
-        return np.cumsum(self._rewards), np.cumsum(self._returns)
-
-    def write_trace_csv(self, path) -> None:
-        """Dump the per-step episode trace (the plot-data format for NAV curves)."""
-        cols = [
-            "step", "date", "action", "position", "market_return",
-            "cost", "reward", "agent_nav", "market_nav",
-        ]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for row in self._trace:
-                writer.writerow([row[c] for c in cols])

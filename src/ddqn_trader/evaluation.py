@@ -26,7 +26,7 @@ import numpy as np
 
 from . import net
 from .agent import Agent
-from .env import Action, CostModel, EnvConfig
+from .env import Action, CostModel
 from .errors import DataError, NumericsError
 from .market_data import FeatureFrame
 
@@ -72,8 +72,8 @@ def run_backtest(agent: Agent, frame: FeatureFrame, costs: CostModel) -> Backtes
             f"frame has {frame.n_features} features but the agent expects "
             f"{agent.config.net.input_dim}"
         )
-    # the env's own check: ConfigError unless the frame has at least 2 rows
-    EnvConfig(frame=frame, episode_length=len(frame) - 1, costs=costs, start=0)
+    if len(frame) < 2:
+        raise DataError(f"backtest needs at least 2 frame rows, got {len(frame)}")
     q, _ = net.forward(agent.online, frame.values[:-1], agent.config.net, mode="eval")
     finite = np.isfinite(q).all(axis=1)
     if not finite.all():

@@ -19,7 +19,6 @@ activation or gradient arrays.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,11 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericsError
 
-PARAMS_FORMAT_VERSION = 1
+# Adam's moment decay rates and denominator epsilon (Kingma & Ba's defaults).
+# Constants, not settings: checkpoints hold only m, v and t.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -97,9 +100,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def param_count(config: NetConfig) -> int:
@@ -361,36 +361,14 @@ def adam_step(
     """One bias-corrected Adam update on the flat vectors; returns fresh params
     and state and leaves its inputs untouched."""
     t = state.t + 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     g = grads.flat
     m = b1 * state.m + (1.0 - b1) * g
     v = b2 * state.v + (1.0 - b2) * g**2
-    flat = params.flat - lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    return NetParams.from_flat(flat, params.shapes), AdamState(m, v, t=t, beta1=b1, beta2=b2, eps=eps)
-
-
-def config_to_dict(config: NetConfig) -> dict:
-    return {
-        "input_dim": config.input_dim,
-        "hidden_dims": list(config.hidden_dims),
-        "output_dim": config.output_dim,
-        "dropout_rate": config.dropout_rate,
-        "l2_activity": config.l2_activity,
-        "seed": config.seed,
-    }
-
-
-def config_from_dict(d: dict) -> NetConfig:
-    return NetConfig(
-        input_dim=int(d["input_dim"]),
-        hidden_dims=tuple(d["hidden_dims"]),
-        output_dim=int(d["output_dim"]),
-        dropout_rate=float(d["dropout_rate"]),
-        l2_activity=float(d["l2_activity"]),
-        seed=d["seed"],
-    )
+    flat = params.flat - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    return NetParams.from_flat(flat, params.shapes), AdamState(m, v, t=t)
 
 
 def params_to_dict(params: NetParams) -> dict:
@@ -414,28 +392,3 @@ def params_from_dict(d: dict, config: NetConfig) -> NetParams:
         weights.append(w.reshape(shape))
         biases.append(np.array(bias, dtype=np.float64))
     return NetParams(weights, biases)
-
-
-def save_params(params: NetParams, config: NetConfig, path) -> None:
-    record = {
-        "version": PARAMS_FORMAT_VERSION,
-        "config": config_to_dict(config),
-        "params": params_to_dict(params),
-    }
-    with open(path, "w") as fh:
-        json.dump(record, fh)
-
-
-def load_params(path) -> tuple[NetParams, NetConfig]:
-    try:
-        with open(path) as fh:
-            record = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"cannot load parameters from {path}: {exc}") from exc
-    if record.get("version") != PARAMS_FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported parameter format version {record.get('version')!r}, "
-            f"expected {PARAMS_FORMAT_VERSION}"
-        )
-    config = config_from_dict(record["config"])
-    return params_from_dict(record["params"], config), config

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -23,7 +23,6 @@ from .agent import (
     AgentConfig,
     EpsilonSchedule,
     ReplayBuffer,
-    Transition,
     epsilon_at,
     select_action,
     sync_target,
@@ -104,9 +103,7 @@ def run_training(
             else:
                 action = select_action(agent, obs, eps, streams["epsilon"])
             result = env.step(action)
-            agent.buffer.store(
-                Transition(obs, int(action), result.reward, result.observation, result.done)
-            )
+            agent.buffer.store(obs, action, result.reward, result.observation, result.done)
             try:
                 train_step(agent)
             except NumericsError as exc:
@@ -154,6 +151,8 @@ def outperformance_ma(log: TrainLog, window: int = 50) -> np.ndarray:
 
 def config_snapshot(config: TrainConfig) -> dict:
     frame = config.env.frame
+    agent = asdict(config.agent)
+    agent["warmup"] = config.agent.effective_warmup
     return {
         "episodes": config.episodes,
         "early_stop_streak": config.early_stop_streak,
@@ -161,8 +160,7 @@ def config_snapshot(config: TrainConfig) -> dict:
         "seed": config.seed,
         "env": {
             "episode_length": config.env.episode_length,
-            "trading_cost": config.env.costs.trading_cost,
-            "time_cost": config.env.costs.time_cost,
+            **asdict(config.env.costs),
             "start": config.env.start,
             "frame": {
                 "model": frame.model_id.name,
@@ -172,23 +170,8 @@ def config_snapshot(config: TrainConfig) -> dict:
                 "last_date": frame.dates[-1].isoformat(),
             },
         },
-        "agent": {
-            "gamma": config.agent.gamma,
-            "lr": config.agent.lr,
-            "batch_size": config.agent.batch_size,
-            "target_sync_every": config.agent.target_sync_every,
-            "target_sync_unit": config.agent.target_sync_unit,
-            "replay_capacity": config.agent.replay_capacity,
-            "warmup": config.agent.effective_warmup,
-            "net": net.config_to_dict(config.agent.net),
-        },
-        "schedule": {
-            "total_episodes": config.schedule.total_episodes,
-            "linear_until": config.schedule.linear_until,
-            "eps_start": config.schedule.eps_start,
-            "eps_end": config.schedule.eps_end,
-            "eps_knee": config.schedule.eps_knee,
-        },
+        "agent": agent,
+        "schedule": asdict(config.schedule),
     }
 
 
@@ -232,16 +215,8 @@ def save_checkpoint(agent: Agent, path) -> None:
     v = net.params_to_dict(net.NetParams.from_flat(agent.adam.v, cfg.net.layer_shapes))
     record = {
         "version": CHECKPOINT_VERSION,
-        "net_config": net.config_to_dict(cfg.net),
-        "agent_config": {
-            "gamma": cfg.gamma,
-            "lr": cfg.lr,
-            "batch_size": cfg.batch_size,
-            "target_sync_every": cfg.target_sync_every,
-            "target_sync_unit": cfg.target_sync_unit,
-            "replay_capacity": cfg.replay_capacity,
-            "warmup": cfg.warmup,
-        },
+        "net_config": asdict(cfg.net),
+        "agent_config": {key: value for key, value in asdict(cfg).items() if key != "net"},
         "online": net.params_to_dict(agent.online),
         "target": net.params_to_dict(agent.target),
         "adam": {
@@ -255,6 +230,19 @@ def save_checkpoint(agent: Agent, path) -> None:
     }
     with open(path, "w") as fh:
         json.dump(record, fh)
+
+
+def _config_from_dict(cls, d: dict, **given):
+    """``cls(**d, **given)``, where ``d`` must hold exactly the fields not in ``given``,
+    so no dataclass default fills in for a key the checkpoint lacks."""
+    expected = {f.name for f in fields(cls)} - given.keys()
+    keys = set(d)
+    if keys != expected:
+        raise CheckpointError(
+            f"{cls.__name__} keys: missing {sorted(expected - keys)}, "
+            f"unexpected {sorted(keys - expected)}"
+        )
+    return cls(**d, **given)
 
 
 def load_checkpoint(path, seed: int = 0) -> Agent:
@@ -274,18 +262,8 @@ def load_checkpoint(path, seed: int = 0) -> Agent:
             f"unsupported checkpoint version {version!r}, expected {CHECKPOINT_VERSION}"
         )
     try:
-        net_config = net.config_from_dict(record["net_config"])
-        ac = record["agent_config"]
-        config = AgentConfig(
-            net=net_config,
-            gamma=ac["gamma"],
-            lr=ac["lr"],
-            batch_size=ac["batch_size"],
-            target_sync_every=ac["target_sync_every"],
-            target_sync_unit=ac["target_sync_unit"],
-            replay_capacity=ac["replay_capacity"],
-            warmup=ac["warmup"],
-        )
+        net_config = _config_from_dict(net.NetConfig, record["net_config"])
+        config = _config_from_dict(AgentConfig, record["agent_config"], net=net_config)
         online = net.params_from_dict(record["online"], net_config)
         target = net.params_from_dict(record["target"], net_config)
         adam_rec = record["adam"]

@@ -6,7 +6,6 @@ from ddqn_trader.agent import (
     AgentConfig,
     EpsilonSchedule,
     ReplayBuffer,
-    Transition,
     TransitionBatch,
     compute_targets,
     epsilon_at,
@@ -43,15 +42,14 @@ def tiny_agent(seed=0, **overrides):
 
 
 def transition(reward=0.01, done=False, seed=0, width=2):
+    """``ReplayBuffer.store`` arguments: (state, action, reward, next_state, done)."""
     rng = np.random.default_rng(seed)
-    return Transition(
-        rng.normal(size=width), int(rng.integers(0, 3)), reward, rng.normal(size=width), done
-    )
+    return rng.normal(size=width), int(rng.integers(0, 3)), reward, rng.normal(size=width), done
 
 
 def fill_buffer(agent, n, seed=0):
     for i in range(n):
-        agent.buffer.store(transition(reward=0.001 * i, seed=seed + i))
+        agent.buffer.store(*transition(reward=0.001 * i, seed=seed + i))
 
 
 # --------------------------------------------------------- epsilon schedule
@@ -143,42 +141,58 @@ def test_select_action_requires_rng_when_exploring():
 
 def test_ring_overwrites_oldest():
     buf = ReplayBuffer(capacity=2)
-    items = [transition(reward=float(i), seed=i) for i in range(3)]
-    for item in items:
-        buf.store(item)
-    rewards = sorted(t.reward for t in buf.contents())
-    assert rewards == [1.0, 2.0]
+    for i in range(3):
+        buf.store(*transition(reward=float(i), seed=i))
     assert len(buf) == 2
+    # a twin generator replays the rng.integers slot draws inside sample
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    seen = set()
+    for _ in range(16):
+        rewards = buf.sample(2, rng).rewards
+        slots = twin.integers(0, 2, size=2).tolist()
+        # the third store wrapped onto slot 0, the oldest; slot 1 keeps the second
+        assert rewards.tolist() == [[2.0, 1.0][slot] for slot in slots]
+        seen.update(slots)
+    assert seen == {0, 1}
 
 
 def test_buffer_size_grows_then_caps():
     buf = ReplayBuffer(capacity=5)
     assert len(buf) == 0
-    buf.store(transition())
+    buf.store(*transition())
     assert len(buf) == 1
     for i in range(10):
-        buf.store(transition(seed=i))
+        buf.store(*transition(seed=i))
     assert len(buf) == 5
 
 
 def test_buffer_grows_past_initial_allocation():
     buf = ReplayBuffer(capacity=5000)
-    for i in range(2000):
-        buf.store(transition(reward=float(i), seed=i))
+    stored = [transition(reward=float(i), seed=i) for i in range(2000)]
+    for item in stored:
+        buf.store(*item)
     assert len(buf) == 2000
-    assert buf.contents()[1999].reward == 1999.0
+    batch = buf.sample(2000, np.random.default_rng(3))
+    slots = np.random.default_rng(3).integers(0, 2000, size=2000)  # sample's draws
+    assert slots.min() < 1024 <= slots.max()  # both sides of the first allocation
+    assert batch.rewards.tolist() == slots.astype(float).tolist()
+    for row, slot in enumerate(slots):
+        state, action, _, next_state, _ = stored[slot]
+        assert np.array_equal(batch.states[row], state)
+        assert np.array_equal(batch.next_states[row], next_state)
+        assert batch.actions[row] == action
 
 
 def test_sample_single():
     buf = ReplayBuffer(capacity=4)
-    buf.store(transition(reward=0.42))
+    buf.store(*transition(reward=0.42))
     batch = buf.sample(1, np.random.default_rng(0))
     assert batch.rewards.tolist() == [0.42]
 
 
 def test_sample_underfilled_errors():
     buf = ReplayBuffer(capacity=8)
-    buf.store(transition())
+    buf.store(*transition())
     with pytest.raises(ValueError, match="stored transitions"):
         buf.sample(2, np.random.default_rng(0))
 
@@ -186,7 +200,7 @@ def test_sample_underfilled_errors():
 def test_sample_uniform_chi_square():
     buf = ReplayBuffer(capacity=10)
     for i in range(10):
-        buf.store(transition(reward=float(i), seed=i))
+        buf.store(*transition(reward=float(i), seed=i))
     rng = np.random.default_rng(11)
     counts = np.zeros(10)
     n_draws = 20_000
@@ -371,7 +385,7 @@ def test_train_step_matches_unfused_reference():
     ref = Agent.create(config, rngs=rng_streams(4))
     for a in (agent, ref):
         for i in range(200):
-            a.buffer.store(transition(reward=0.001 * i, done=i % 17 == 0, seed=i))
+            a.buffer.store(*transition(reward=0.001 * i, done=i % 17 == 0, seed=i))
     online, target, adam = ref.online, ref.target, ref.adam
     for step in range(1, 51):
         loss = train_step(agent)

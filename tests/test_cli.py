@@ -237,6 +237,22 @@ def test_evaluate_non_numeric_frame_cell_exit_code(workspace, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_evaluate_one_row_frame_exit_code(workspace, capsys):
+    tmp_path, config = workspace
+    prep, run = tmp_path / "prep", tmp_path / "run"
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    assert main(["train", "--config", str(config), "--frame", str(prep / "train_frame.csv"),
+                 "--out", str(run)]) == 0
+    frame = prep / "test_frame.csv"
+    frame.write_text("\n".join(frame.read_text().splitlines()[:2]) + "\n")
+    capsys.readouterr()
+    code = main(["evaluate", "--config", str(config), "--checkpoint",
+                 str(run / "checkpoint.json"), "--frame", str(frame),
+                 "--out", str(tmp_path / "ev")])
+    assert code == 2
+    assert "at least 2 frame rows, got 1" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_evaluate_non_finite_q_values_exit_code(workspace, capsys):
     tmp_path, config = workspace

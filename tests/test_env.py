@@ -110,42 +110,46 @@ def test_episode_runs_exactly_t_steps(frame300):
     assert env.state.cursor == 10 + 252
 
 
+def step_navs(env, actions):
+    """Run ``actions`` from a reset; per step, the StepResult's reward and market
+    return and the env state's agent and market NAV after it, as four arrays."""
+    env.reset()
+    rows = []
+    for action in actions:
+        result = env.step(action)
+        rows.append((result.reward, result.market_return,
+                     env.state.agent_nav, env.state.market_nav))
+    return np.array(rows).T
+
+
 def test_nav_curves_prefix_sums():
     frame = make_frame([0.0, 0.01, -0.005, 0.002])
     env = TradingEnv(EnvConfig(frame=frame, episode_length=2, costs=NO_COST, start=0))
-    env.reset()
-    env.step(Action.LONG)
-    env.step(Action.LONG)
-    agent_curve, market_curve = env.nav_curves()
-    assert agent_curve.tolist() == pytest.approx([0.01, 0.005], abs=1e-15)
-    assert market_curve.tolist() == pytest.approx([0.01, 0.005], abs=1e-15)
+    rewards, market, agent_nav, market_nav = step_navs(env, [Action.LONG] * 2)
+    assert agent_nav.tolist() == pytest.approx([0.01, 0.005], abs=1e-15)
+    assert market_nav.tolist() == pytest.approx([0.01, 0.005], abs=1e-15)
+    assert np.array_equal(agent_nav, np.cumsum(rewards))
+    assert np.array_equal(market_nav, np.cumsum(market))
 
 
 def test_all_neutral_zero_cost_curve_is_zero(frame10):
     env = TradingEnv(EnvConfig(frame=frame10, episode_length=6, costs=NO_COST, start=0))
-    env.reset()
-    for _ in range(6):
-        env.step(Action.NEUTRAL)
-    agent_curve, _ = env.nav_curves()
-    assert np.all(agent_curve == 0.0)
+    _, _, agent_nav, _ = step_navs(env, [Action.NEUTRAL] * 6)
+    assert np.all(agent_nav == 0.0)
 
 
 def test_always_long_reproduces_market_exactly(frame300):
     env = TradingEnv(EnvConfig(frame=frame300, episode_length=100, costs=NO_COST, start=3))
-    env.reset()
-    for _ in range(100):
-        env.step(Action.LONG)
-    agent_curve, market_curve = env.nav_curves()
-    assert np.array_equal(agent_curve, market_curve)
-    assert env.state.agent_nav == env.state.market_nav
+    rewards, market, agent_nav, market_nav = step_navs(env, [Action.LONG] * 100)
+    assert np.array_equal(rewards, market)
+    assert np.array_equal(agent_nav, market_nav)
 
 
 def test_always_short_negates_market_exactly(frame300):
     env = TradingEnv(EnvConfig(frame=frame300, episode_length=100, costs=NO_COST, start=3))
-    env.reset()
-    rewards = [env.step(Action.SHORT).reward for _ in range(100)]
-    _, market_curve = env.nav_curves()
-    assert np.array_equal(np.cumsum(rewards), -market_curve)
+    rewards, _, agent_nav, market_nav = step_navs(env, [Action.SHORT] * 100)
+    assert np.array_equal(np.cumsum(rewards), -market_nav)
+    assert np.array_equal(agent_nav, -market_nav)
 
 
 def test_agent_nav_equals_reward_sum(frame300):
@@ -182,16 +186,3 @@ def test_step_deterministic(frame300):
         return [env.step(int(rng.integers(0, 3))).reward for _ in range(80)]
 
     assert run() == run()
-
-
-def test_trace_csv(tmp_path, frame10):
-    env = TradingEnv(EnvConfig(frame=frame10, episode_length=4, costs=CostModel(), start=0))
-    env.reset()
-    for action in (2, 2, 0, 1):
-        env.step(action)
-    path = tmp_path / "trace.csv"
-    env.write_trace_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,date,action,position,market_return,cost,reward,agent_nav,market_nav"
-    assert len(lines) == 5
-    assert lines[1].startswith("1,2020-01-07,2,1,")

@@ -5,7 +5,7 @@ import pytest
 
 from ddqn_trader.agent import Agent, AgentConfig, EpsilonSchedule, select_action
 from ddqn_trader.env import Action, CostModel, EnvConfig, TradingEnv
-from ddqn_trader.errors import ConfigError, DataError, NumericsError
+from ddqn_trader.errors import DataError, NumericsError
 from ddqn_trader.evaluation import (
     PerformanceReport,
     annualized_metrics,
@@ -177,7 +177,7 @@ def test_backtest_non_finite_q_values_name_first_bad_date(frame300):
 
 
 def test_backtest_one_row_frame_rejected():
-    with pytest.raises(ConfigError, match="episode_length"):
+    with pytest.raises(DataError, match="at least 2 frame rows, got 1"):
         run_backtest(zeroed_agent(), make_frame([0.01]), NO_COST)
 
 

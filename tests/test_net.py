@@ -1,10 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from ddqn_trader.errors import CheckpointError, ConfigError, NumericsError
+from ddqn_trader.errors import ConfigError, NumericsError
 from ddqn_trader.net import (
     NetConfig,
     NetParams,
@@ -12,10 +11,8 @@ from ddqn_trader.net import (
     forward,
     init_adam,
     init_params,
-    load_params,
     loss_and_grads,
     param_count,
-    save_params,
 )
 
 
@@ -340,25 +337,3 @@ def test_clone_outputs_equal():
     q3, _ = forward(params.clone().clone(), x, config)
     assert np.array_equal(q1, q2)
     assert np.array_equal(q1, q3)
-
-
-def test_params_json_round_trip(tmp_path):
-    config = NetConfig(input_dim=6, seed=13)
-    params = init_params(config)
-    path = tmp_path / "net.json"
-    save_params(params, config, path)
-    loaded, loaded_config = load_params(path)
-    assert loaded_config == config
-    for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
-        assert np.array_equal(a, b)  # repr round-trip is bit-exact
-
-
-def test_params_version_mismatch(tmp_path):
-    config = NetConfig(input_dim=2, seed=0)
-    path = tmp_path / "net.json"
-    save_params(init_params(config), config, path)
-    record = json.loads(path.read_text())
-    record["version"] = 99
-    path.write_text(json.dumps(record))
-    with pytest.raises(CheckpointError, match="version"):
-        load_params(path)

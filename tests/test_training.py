@@ -231,9 +231,36 @@ def test_checkpoint_round_trip(tmp_path):
     q_before, _ = forward(agent.online, probe, agent.config.net)
     q_after, _ = forward(loaded.online, probe, loaded.config.net)
     assert np.array_equal(q_before, q_after)
-    assert loaded.gradient_steps == agent.gradient_steps
+    assert loaded.config == agent.config
+    assert np.array_equal(loaded.target.flat, agent.target.flat)
+    assert np.array_equal(loaded.adam.m, agent.adam.m)
+    assert np.array_equal(loaded.adam.v, agent.adam.v)
     assert loaded.adam.t == agent.adam.t
+    assert loaded.gradient_steps == agent.gradient_steps
     assert len(loaded.buffer) == 0  # replay is not checkpointed
+    again = tmp_path / "again.json"
+    save_checkpoint(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("block", ["net_config", "agent_config"])
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_checkpoint_config_key_mismatch_rejected(tmp_path, block, change):
+    # seed and warmup default to None, so a missing one must not load as None
+    _, agent = run_training(small_config(trend_frame(), episodes=1))
+    path = tmp_path / "agent.json"
+    save_checkpoint(agent, path)
+    record = json.loads(path.read_text())
+    if change == "missing":
+        key = "seed" if block == "net_config" else "warmup"
+        del record[block][key]
+        expected = rf"missing \['{key}'\]"
+    else:
+        record[block]["momentum"] = 0.5
+        expected = r"unexpected \['momentum'\]"
+    path.write_text(json.dumps(record))
+    with pytest.raises(CheckpointError, match=expected):
+        load_checkpoint(path)
 
 
 def test_checkpoint_version_mismatch(tmp_path):
@@ -290,25 +317,17 @@ def test_checkpoint_resume_matches_uninterrupted_step(tmp_path):
             rngs=rng_streams(7),
         )
         rng = np.random.default_rng(40)
-        from ddqn_trader.agent import Transition
-
         for _ in range(32):
-            agent.buffer.store(
-                Transition(rng.normal(size=2), int(rng.integers(0, 3)),
-                           float(rng.normal(scale=0.01)), rng.normal(size=2), False)
-            )
+            agent.buffer.store(rng.normal(size=2), int(rng.integers(0, 3)),
+                               float(rng.normal(scale=0.01)), rng.normal(size=2), False)
         train_step(agent)
         return agent
 
     def refill(agent):
         rng = np.random.default_rng(41)
-        from ddqn_trader.agent import Transition
-
         for _ in range(32):
-            agent.buffer.store(
-                Transition(rng.normal(size=2), int(rng.integers(0, 3)),
-                           float(rng.normal(scale=0.01)), rng.normal(size=2), False)
-            )
+            agent.buffer.store(rng.normal(size=2), int(rng.integers(0, 3)),
+                               float(rng.normal(scale=0.01)), rng.normal(size=2), False)
 
     uninterrupted = fresh_agent()
     streams = rng_streams(99)
