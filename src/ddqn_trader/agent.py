@@ -37,78 +37,88 @@ class TransitionBatch:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions stored as parallel arrays.
+    """Fixed-capacity ring of transitions over one states matrix.
 
+    The env's observations are rows of its frame, so a transition is stored as
+    its row with the action, reward and done flag: 25 bytes whatever the state
+    width. Its state is ``states[row]`` and its next state ``states[row + 1]``.
     The write cursor wraps once the buffer is full, overwriting the oldest
     entry. Storage grows lazily toward capacity so tiny test buffers stay tiny.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, states: np.ndarray | None = None):
         if capacity < 1:
             raise ConfigError(f"replay capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
+        self.states = None if states is None else np.asarray(states, dtype=np.float64)
         self.size = 0
         self._cursor = 0
-        self._states: np.ndarray | None = None
-        self._actions: np.ndarray | None = None
-        self._rewards: np.ndarray | None = None
-        self._next_states: np.ndarray | None = None
-        self._dones: np.ndarray | None = None
+        alloc = min(self.capacity, 1024)
+        self._rows = np.empty(alloc, dtype=np.intp)
+        self._actions = np.empty(alloc, dtype=np.intp)
+        self._rewards = np.empty(alloc)
+        self._dones = np.empty(alloc, dtype=bool)
 
     def __len__(self) -> int:
         return self.size
 
-    def _ensure_room(self, width: int) -> None:
-        if self._states is None:
-            alloc = min(self.capacity, 1024)
-            self._states = np.empty((alloc, width))
-            self._actions = np.empty(alloc, dtype=np.int64)
-            self._rewards = np.empty(alloc)
-            self._next_states = np.empty((alloc, width))
-            self._dones = np.empty(alloc, dtype=bool)
-            return
-        if self._states.shape[1] != width:
-            raise ValueError(
-                f"transition width {width} != buffer width {self._states.shape[1]}"
-            )
-        if self.size == len(self._actions) and self.size < self.capacity:
-            grow = min(self.capacity, 2 * len(self._actions))
+    def _grow(self) -> None:
+        grow = min(self.capacity, 2 * len(self._rows))
 
-            def _grown(old: np.ndarray) -> np.ndarray:
-                fresh = np.empty((grow,) + old.shape[1:], dtype=old.dtype)
-                fresh[: len(old)] = old
-                return fresh
+        def _grown(old: np.ndarray) -> np.ndarray:
+            fresh = np.empty(grow, dtype=old.dtype)
+            fresh[: len(old)] = old
+            return fresh
 
-            self._states = _grown(self._states)
-            self._actions = _grown(self._actions)
-            self._rewards = _grown(self._rewards)
-            self._next_states = _grown(self._next_states)
-            self._dones = _grown(self._dones)
+        self._rows = _grown(self._rows)
+        self._actions = _grown(self._actions)
+        self._rewards = _grown(self._rewards)
+        self._dones = _grown(self._dones)
 
-    def store(self, state: np.ndarray, action: int, reward: float,
-              next_state: np.ndarray, done: bool) -> None:
-        """Write one transition at the cursor, overwriting the oldest once full."""
-        self._ensure_room(len(state))
+    def store(self, row: int, action: int, reward: float, done: bool) -> None:
+        """Write one transition at the cursor, overwriting the oldest once full.
+
+        ``row`` must leave room for the next state: it lies in [0, F - 2] for
+        a states matrix of F rows.
+        """
+        if self.states is None:
+            raise ValueError("replay buffer has no states matrix to index")
+        if not 0 <= row <= len(self.states) - 2:
+            raise ValueError(f"row {row} outside [0, {len(self.states) - 2}]: "
+                             f"a transition needs its row and the next")
+        if self.size == len(self._rows) < self.capacity:
+            self._grow()
         i = self._cursor
-        self._states[i] = state
+        self._rows[i] = row
         self._actions[i] = action
         self._rewards[i] = reward
-        self._next_states[i] = next_state
         self._dones[i] = done
         self._cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
-        """Uniform sample with replacement across occupied slots."""
+    def draw(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+        """Slots of a uniform sample with replacement across occupied slots."""
         if self.size < batch_size:
             raise ValueError(f"need {batch_size} stored transitions, have {self.size}")
-        idx = rng.integers(0, self.size, size=batch_size)
+        return rng.integers(0, self.size, size=batch_size)
+
+    def take(self, slots: np.ndarray, rows: np.ndarray, actions: np.ndarray,
+             rewards: np.ndarray, dones: np.ndarray) -> None:
+        """Copy the transitions at ``slots`` (from :meth:`draw`) into the arrays given."""
+        for src, dst in ((self._rows, rows), (self._actions, actions),
+                         (self._rewards, rewards), (self._dones, dones)):
+            np.take(src, slots, out=dst, mode="clip")
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
+        """A :meth:`draw` as a batch of explicit states and next states."""
+        slots = self.draw(batch_size, rng)
+        rows = self._rows[slots]
         return TransitionBatch(
-            states=self._states[idx],
-            actions=self._actions[idx],
-            rewards=self._rewards[idx],
-            next_states=self._next_states[idx],
-            dones=self._dones[idx],
+            states=self.states[rows],
+            actions=self._actions[slots],
+            rewards=self._rewards[slots],
+            next_states=self.states[rows + 1],
+            dones=self._dones[slots],
         )
 
 
@@ -209,7 +219,7 @@ class Agent:
         self.gradient_steps = gradient_steps
         self._replay_rng = replay_rng
         self._dropout_rng = dropout_rng
-        self._workspace: net.Workspace | None = None  # allocated by the first gradient step
+        self._frame: _FramePass | None = None  # allocated by the first gradient step
 
     @classmethod
     def create(
@@ -217,8 +227,10 @@ class Agent:
         config: AgentConfig,
         rngs: dict[str, np.random.Generator] | None = None,
         seed: int = 0,
+        states: np.ndarray | None = None,
     ) -> "Agent":
-        """Fresh agent; ``rngs`` may supply the init/replay/dropout streams."""
+        """Fresh agent; ``rngs`` may supply the init/replay/dropout streams and
+        ``states`` is the matrix whose rows the replay buffer stores."""
         if rngs is None:
             rngs = rng_streams(seed)
         online = net.init_params(config.net, rngs["init"])
@@ -227,7 +239,7 @@ class Agent:
             online=online,
             target=online.clone(),
             adam=net.init_adam(config.net),
-            buffer=ReplayBuffer(config.replay_capacity),
+            buffer=ReplayBuffer(config.replay_capacity, states),
             replay_rng=rngs["replay"],
             dropout_rng=rngs["dropout"],
         )
@@ -254,23 +266,76 @@ def select_action(
     return Action(int(np.argmax(q[0])))
 
 
-def compute_targets(
-    agent: Agent, batch: TransitionBatch, workspace: net.Workspace | None = None
-) -> np.ndarray:
-    """Double-Q targets for a batch, all forwards in eval mode.
+def compute_targets(agent: Agent, batch: TransitionBatch) -> np.ndarray:
+    """Double-Q targets for a batch of explicit states, all forwards in eval mode.
 
-    The online network runs layers 1–2 once over [states; next_states], so
-    afterwards ``workspace`` (stacked, sized for the batch) also holds the
-    hidden activations of ``batch.states`` that the loss needs.
+    The reference for :func:`train_step`, whose targets from frame rows are
+    equal to these bit for bit.
     """
     cfg = agent.config
-    n = len(batch)
-    ws = workspace if workspace is not None else net.Workspace(cfg.net, n, stacked=True)
-    ws.hidden(agent.online, batch.states, batch.next_states)
-    best_next = np.argmax(ws.head(agent.online, n, 2 * n), axis=1)
-    q_target_next = ws.target_q(agent.target, batch.next_states)
-    bootstrapped = q_target_next[np.arange(n), best_next]
+    q_online, _ = net.forward(agent.online, batch.next_states, cfg.net)
+    q_target, _ = net.forward(agent.target, batch.next_states, cfg.net)
+    best_next = np.argmax(q_online, axis=1)
+    bootstrapped = q_target[np.arange(len(batch)), best_next]
     return batch.rewards + cfg.gamma * bootstrapped * ~batch.dones
+
+
+class _FramePass:
+    """Buffers of the gradient step over one states matrix of F rows.
+
+    A batch of B transitions touches at most min(F, 2B) rows: each
+    transition's row and the next. The online and then the target network's
+    layers 1–2 run once each over those rows.
+    Every output-layer matmul has exactly B rows, as in :func:`compute_targets`,
+    because OpenBLAS can round a row of a 3-wide product differently at
+    another row count; the 64-wide hidden layers showed no such difference.
+    """
+
+    def __init__(self, config: NetConfig, states: np.ndarray, batch: int):
+        f, k = len(states), min(len(states), 2 * batch)
+        h1, h2 = config.hidden_dims
+        self.states = states
+        self.ws = net.Workspace(config, batch)
+        self.touched = np.zeros(f, dtype=bool)
+        self.slot = np.zeros(f, dtype=np.intp)  # touched row -> its row in x, a1, a2
+        self.order = np.arange(k)
+        self.x = np.empty((k, config.input_dim))
+        self.a1 = np.empty((k, h1))
+        self.a2 = np.empty((k, h2))
+        self.flags = np.empty(k * max(h1, h2), dtype=bool)
+        self.rows, self.next_rows, self.index, self.next_index, self.actions, self.best = (
+            np.empty(batch, dtype=np.intp) for _ in range(6))
+        self.rewards = np.empty(batch)
+        self.dones = np.empty(batch, dtype=bool)
+        self.q = np.empty((batch, config.output_dim))
+
+    def targets(self, online: NetParams, target: NetParams, gamma: float) -> np.ndarray:
+        """Double-Q targets of the batch loaded into ``rows``, ``rewards`` and
+        ``dones``; leaves its train rows in ``ws``."""
+        np.add(self.rows, 1, out=self.next_rows)
+        self.touched.fill(False)
+        self.touched[self.rows] = True
+        self.touched[self.next_rows] = True
+        touched_rows = np.flatnonzero(self.touched)
+        k = len(touched_rows)
+        self.slot[touched_rows] = self.order[:k]
+        x, a1, a2 = self.x[:k], self.a1[:k], self.a2[:k]
+        np.take(self.states, touched_rows, axis=0, out=x, mode="clip")
+        _, bad = net.hidden(online, x, a1, a2, self.flags)
+        np.take(self.slot, self.rows, out=self.index, mode="clip")
+        np.take(self.slot, self.next_rows, out=self.next_index, mode="clip")
+        self.ws.take(x, a1, a2, self.index, bad)
+
+        # From here on a1, a2 and ws.dz2 are scratch: the train rows are taken,
+        # and the loss writes dL/dz2 only later.
+        next_a2 = self.ws.dz2
+        np.take(a2, self.next_index, axis=0, out=next_a2, mode="clip")
+        np.argmax(net.head(online, next_a2, self.q), axis=1, out=self.best)
+        net.hidden(target, x, a1, a2)
+        np.take(a2, self.next_index, axis=0, out=next_a2, mode="clip")
+        q_target_next = net.head(target, next_a2, self.q)
+        bootstrapped = q_target_next[np.arange(len(self.rows)), self.best]
+        return self.rewards + gamma * bootstrapped * ~self.dones
 
 
 def sync_target(agent: Agent) -> None:
@@ -285,15 +350,17 @@ def train_step(agent: Agent) -> float | None:
     default per-step unit).
     """
     cfg = agent.config
-    if agent.buffer.size < cfg.effective_warmup or agent.buffer.size < cfg.batch_size:
+    buffer = agent.buffer
+    if buffer.size < cfg.effective_warmup or buffer.size < cfg.batch_size:
         return None
-    batch = agent.buffer.sample(cfg.batch_size, agent._replay_rng)
-    if agent._workspace is None:
-        agent._workspace = net.Workspace(cfg.net, cfg.batch_size, stacked=True)
-    targets = compute_targets(agent, batch, agent._workspace)
-    loss, grads = agent._workspace.loss_and_grads(
-        agent.online, batch.actions, targets, agent._dropout_rng
-    )
+    slots = buffer.draw(cfg.batch_size, agent._replay_rng)
+    frame = agent._frame
+    if frame is None or frame.states is not buffer.states:
+        frame = agent._frame = _FramePass(cfg.net, buffer.states, cfg.batch_size)
+    buffer.take(slots, frame.rows, frame.actions, frame.rewards, frame.dones)
+    targets = frame.targets(agent.online, agent.target, cfg.gamma)
+    loss, grads = frame.ws.loss_and_grads(agent.online, frame.actions, targets,
+                                          agent._dropout_rng)
     agent.online, agent.adam = net.adam_step(agent.online, grads, agent.adam, cfg.lr)
     agent.gradient_steps += 1
     if cfg.target_sync_unit == "steps" and agent.gradient_steps % cfg.target_sync_every == 0:

@@ -10,6 +10,7 @@ rewards; the market benchmark NAV is the running sum of raw returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -35,8 +36,8 @@ class CostModel:
     time_cost: float = 1e-5  # per step with no change
 
     def __post_init__(self):
-        if self.trading_cost < 0 or self.time_cost < 0:
-            raise ConfigError(f"costs must be >= 0, got {self}")
+        if not (0 <= self.trading_cost < math.inf and 0 <= self.time_cost < math.inf):
+            raise ConfigError(f"costs must be finite and >= 0, got {self}")
 
 
 COST_PRESETS = {

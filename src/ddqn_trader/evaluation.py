@@ -187,9 +187,16 @@ def _fmt(x: float | None) -> str:
 
 
 def render_report_json(reports: list[PerformanceReport]) -> str:
-    """Deterministic JSON: sorted keys, fixed 6-decimal numbers."""
+    """Deterministic JSON: sorted keys, fixed 6-decimal numbers.
+
+    Raises NumericsError on a non-finite metric, which JSON cannot hold.
+    """
     lines = ["["]
     for i, r in enumerate(reports):
+        for key in ("accuracy", "e_r", "mse", "sharpe", "std_r"):
+            value = getattr(r, key)
+            if value is not None and not math.isfinite(value):
+                raise NumericsError(f"non-finite {key} ({value}) in the report of {r.model}")
         sep = "," if i < len(reports) - 1 else ""
         lines.append(
             "  {"
@@ -233,8 +240,9 @@ def emit_report(
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
     curves_path = os.path.join(out_dir, "nav_curves.csv")
+    report_text = render_report_json(reports)  # raises before any file is written
     with open(report_path, "w") as fh:
-        fh.write(render_report_json(reports))
+        fh.write(report_text)
     with open(curves_path, "w", newline="") as fh:
         fh.write("date,model,nav\n")
         for name, res in items:

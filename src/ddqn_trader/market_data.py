@@ -22,7 +22,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 ANNUALIZATION = math.sqrt(252.0)
 DEFAULT_EWMA_DECAY = 0.94  # RiskMetrics daily convention
@@ -416,12 +416,14 @@ def synth_generate(
     amplitude); "flat" drops the drift entirely. Dates are consecutive
     weekdays. Same seed, same series.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not math.isfinite(mu):
+        raise ConfigError(f"mu must be finite, got {mu}")
+    if not 0 <= sigma < math.inf:
+        raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
     if n_days < 10:
-        raise ValueError(f"n_days must be >= 10, got {n_days}")
+        raise ConfigError(f"n_days must be >= 10, got {n_days}")
     if regime not in ("trend", "meanrevert", "flat"):
-        raise ValueError(f"unknown regime {regime!r}")
+        raise ConfigError(f"unknown regime {regime!r}")
     rng = np.random.default_rng(seed)
     noise = sigma * rng.standard_normal(n_days - 1)
     if regime == "trend":
@@ -431,7 +433,11 @@ def synth_generate(
     else:
         drift = np.zeros(n_days - 1)
     returns = drift + noise
-    closes = start_price * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
+    with np.errstate(over="ignore"):
+        closes = start_price * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
+    if not np.isfinite(closes).all():
+        raise ConfigError(f"synthetic closes are not finite (mu {mu}, sigma {sigma}, "
+                          f"start_price {start_price}, {n_days} days)")
     return PriceSeries(asset_id, _weekdays(start, n_days), closes)
 
 

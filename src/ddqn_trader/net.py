@@ -135,57 +135,61 @@ def _all_finite(arr: np.ndarray, flags: np.ndarray) -> bool:
     return bool(ok.all())
 
 
-def _hidden(params: NetParams, x: np.ndarray, a1=None, a2=None, flags=None, checked: int = 0):
+def hidden(params: NetParams, x: np.ndarray, a1=None, a2=None, flags=None):
     """Layers 1–2, each ReLU applied in place on its pre-activation (a > 0
     exactly where z > 0, so the backward pass reads the mask off a).
 
-    Returns (a2, bad): bad names the first layer whose pre-activations on
-    the first ``checked`` rows hold a non-finite value, else None.
+    Returns (a2, bad). Given the bool scratch ``flags``, bad names the first
+    layer whose pre-activations hold a non-finite value; without it, or if
+    all are finite, bad is None.
     """
     w, b = params.weights, params.biases
     bad = None
     a1 = _affine(x, w[0], b[0], a1)
-    if checked and not _all_finite(a1[:checked], flags):
+    if flags is not None and not _all_finite(a1, flags):
         bad = "hidden layer 1"
     np.maximum(a1, 0.0, out=a1)
     a2 = _affine(a1, w[1], b[1], a2)
-    if checked and bad is None and not _all_finite(a2[:checked], flags):
+    if flags is not None and bad is None and not _all_finite(a2, flags):
         bad = "hidden layer 2"
     np.maximum(a2, 0.0, out=a2)
     return a2, bad
 
 
+def head(params: NetParams, a2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Eval-mode output layer: Q-values from layer-2 activations."""
+    return _affine(a2, params.weights[2], params.biases[2], out)
+
+
 class Workspace:
     """Activation and gradient buffers for batches of up to ``batch`` rows.
 
-    A gradient step that reuses one allocates no [batch, width] arrays. With
-    ``stacked``, the input and online hidden buffers have room for twice the
-    rows, so one pass runs layers 1–2 on [states; next_states]. The target
-    network's forward buffers are reused as dL/dz1 and dL/dz2, and the
-    dropped-out layer 2 as the L2 scratch once dW3 is computed.
+    A gradient step that reuses one allocates no [batch, width] arrays. The
+    buffers of dL/dz1 and dL/dz2 also hold the squared activations of the L2
+    term, and the dropped-out layer 2 is reused as L2 scratch once dW3 is
+    computed. Until :meth:`loss_and_grads` runs, ``dz1`` and ``dz2`` are free
+    for the caller's scratch.
 
-    Use: :meth:`hidden`, then any of :meth:`head` and :meth:`target_q`, then
-    :meth:`train_q` or :meth:`loss_and_grads`. Returned arrays and gradients
-    are views into the buffers, overwritten by the next call.
+    Use: :meth:`hidden` or :meth:`take`, then :meth:`train_q` or
+    :meth:`loss_and_grads`. Returned arrays and gradients are views into the
+    buffers, overwritten by the next call.
     """
 
-    def __init__(self, config: NetConfig, batch: int, stacked: bool = False):
+    def __init__(self, config: NetConfig, batch: int):
         h1, h2 = config.hidden_dims
-        rows = 2 * batch if stacked else batch
         self.config = config
-        self.x = np.empty((rows, config.input_dim))
-        self.a1 = np.empty((rows, h1))
-        self.a2 = np.empty((rows, h2))
-        self.q = np.empty((rows, config.output_dim))
-        self.t1 = np.empty((batch, h1))  # target layer 1, then dL/dz1
-        self.t2 = np.empty((batch, h2))  # target layer 2, then dL/dz2
-        self.tq = np.empty((batch, config.output_dim))
+        self.x = np.empty((batch, config.input_dim))
+        self.a1 = np.empty((batch, h1))
+        self.a2 = np.empty((batch, h2))
+        self.q = np.empty((batch, config.output_dim))
+        self.dz1 = np.empty((batch, h1))
+        self.dz2 = np.empty((batch, h2))
         self.dq = np.empty((batch, config.output_dim))
         self._mask = np.empty((batch, h2))
         self._scratch = np.empty(batch * max(h1, h2))  # dropped-out a2, then L2 terms
         self._flags = np.empty(batch * max(h1, h2, config.output_dim), dtype=bool)
         self.grads = NetParams.from_flat(np.empty(param_count(config)), config.layer_shapes)
-        self.rows = 0  # train rows of the last hidden pass
+        self.rows = 0  # train rows of the last hidden pass or take
         self.mask: np.ndarray | None = None  # dropout mask of the last train_q
         self._dropped: np.ndarray | None = None
         self._bad: str | None = None
@@ -193,32 +197,24 @@ class Workspace:
     def _view(self, buf: np.ndarray, width: int) -> np.ndarray:
         return buf[: self.rows * width].reshape(self.rows, width)
 
-    def hidden(self, params: NetParams, states: np.ndarray,
-               next_states: np.ndarray | None = None) -> None:
-        """Layers 1–2 over ``states``, stacked with ``next_states`` if given.
-
-        ``states`` are the train rows; a non-finite pre-activation in them is
-        reported by the next :meth:`loss_and_grads`.
-        """
+    def hidden(self, params: NetParams, states: np.ndarray) -> None:
+        """Layers 1–2 over the train rows ``states``; a non-finite
+        pre-activation is reported by the next :meth:`loss_and_grads`."""
         n = len(states)
-        end = n if next_states is None else n + len(next_states)
         self.x[:n] = states
-        if next_states is not None:
-            self.x[n:end] = next_states
         self.rows = n
-        _, self._bad = _hidden(params, self.x[:end], self.a1[:end], self.a2[:end],
-                               self._flags, checked=n)
+        _, self._bad = hidden(params, self.x[:n], self.a1[:n], self.a2[:n], self._flags)
 
-    def head(self, params: NetParams, start: int, stop: int) -> np.ndarray:
-        """Eval-mode Q-values of stacked rows [start, stop) of the last hidden pass."""
-        return _affine(self.a2[start:stop], params.weights[2], params.biases[2],
-                       self.q[start:stop])
-
-    def target_q(self, params: NetParams, states: np.ndarray) -> np.ndarray:
-        """Eval-mode Q-values of a second network (the target) on ``states``."""
-        n = len(states)
-        a2, _ = _hidden(params, states, self.t1[:n], self.t2[:n])
-        return _affine(a2, params.weights[2], params.biases[2], self.tq[:n])
+    def take(self, x: np.ndarray, a1: np.ndarray, a2: np.ndarray, index: np.ndarray,
+             bad: str | None) -> None:
+        """Train rows from an earlier layers-1–2 pass: row i is row ``index[i]``
+        of ``x``, ``a1`` and ``a2``, and ``bad`` is that pass's report. The
+        gathers clip, so every index must already be in range."""
+        n = len(index)
+        for src, dst in ((x, self.x), (a1, self.a1), (a2, self.a2)):
+            np.take(src, index, axis=0, out=dst[:n], mode="clip")
+        self.rows = n
+        self._bad = bad
 
     def train_q(self, params: NetParams, rng: np.random.Generator | None) -> np.ndarray:
         """Train-mode Q-values of the train rows: a fresh inverted-dropout mask
@@ -266,8 +262,8 @@ class Workspace:
         l2 = self.config.l2_activity
         loss = float(np.mean(err**2))
         if l2 > 0.0:
-            sq1 = np.square(a1, out=self.t1[:n])
-            sq2 = np.square(a2, out=self.t2[:n])
+            sq1 = np.square(a1, out=self.dz1[:n])
+            sq2 = np.square(a2, out=self.dz2[:n])
             loss += l2 * float(np.sum(sq1) + np.sum(sq2)) / n
         if not math.isfinite(loss):
             raise NumericsError("non-finite loss")
@@ -278,7 +274,7 @@ class Workspace:
         dq[rows, actions] = 2.0 * err / n
         np.matmul(self._dropped.T, dq, out=g.weights[2])
         np.sum(dq, axis=0, out=g.biases[2])
-        dz2 = np.matmul(dq, w[2].T, out=self.t2[:n])
+        dz2 = np.matmul(dq, w[2].T, out=self.dz2[:n])
         if self.mask is not None:
             dz2 *= self.mask
         if l2 > 0.0:
@@ -286,7 +282,7 @@ class Workspace:
         dz2 *= np.greater(a2, 0.0, out=self._view(self._flags, a2.shape[1]))
         np.matmul(a1.T, dz2, out=g.weights[1])
         np.sum(dz2, axis=0, out=g.biases[1])
-        dz1 = np.matmul(dz2, w[1].T, out=self.t1[:n])
+        dz1 = np.matmul(dz2, w[1].T, out=self.dz1[:n])
         if l2 > 0.0:
             dz1 += np.multiply(a1, 2.0 * l2 / n, out=self._view(self._scratch, a1.shape[1]))
         dz1 *= np.greater(a1, 0.0, out=self._view(self._flags, a1.shape[1]))
@@ -321,8 +317,8 @@ def forward(
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     states = _as_states(states, config)
     if mode == "eval":
-        a2, _ = _hidden(params, states)
-        return _affine(a2, params.weights[2], params.biases[2]), None
+        a2, _ = hidden(params, states)
+        return head(params, a2), None
     ws = Workspace(config, len(states))
     ws.hidden(params, states)
     return ws.train_q(params, rng), ws

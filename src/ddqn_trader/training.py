@@ -57,6 +57,8 @@ class TrainConfig:
             raise ConfigError(f"early_stop_streak must be >= 1, got {self.early_stop_streak}")
         if self.ma_window < 1:
             raise ConfigError(f"ma_window must be >= 1, got {self.ma_window}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.schedule.total_episodes < self.episodes:
             raise ConfigError(
                 f"schedule covers {self.schedule.total_episodes} episodes, "
@@ -88,7 +90,7 @@ def run_training(
 ) -> tuple[TrainLog, Agent]:
     """Run the full training protocol; deterministic per (config, seed, data)."""
     streams = rng_streams(config.seed)
-    agent = Agent.create(config.agent, rngs=streams)
+    agent = Agent.create(config.agent, rngs=streams, states=config.env.frame.values)
     env = TradingEnv(config.env)
     records: list[EpisodeRecord] = []
     streak = 0
@@ -98,12 +100,13 @@ def run_training(
         eps = epsilon_at(config.schedule, episode)
         obs = env.reset(streams["env"])
         for _ in range(config.env.episode_length):
+            row = env.state.cursor
             if action_override is not None:
                 action = int(action_override(obs, streams["epsilon"]))
             else:
                 action = select_action(agent, obs, eps, streams["epsilon"])
             result = env.step(action)
-            agent.buffer.store(obs, action, result.reward, result.observation, result.done)
+            agent.buffer.store(row, action, result.reward, result.done)
             try:
                 train_step(agent)
             except NumericsError as exc:

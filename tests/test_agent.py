@@ -10,6 +10,7 @@ from ddqn_trader.agent import (
     compute_targets,
     epsilon_at,
     select_action,
+    sync_target,
     train_step,
 )
 from ddqn_trader.env import Action
@@ -29,7 +30,11 @@ CHI2_CRIT_DF9_P01 = 21.666  # chi-square critical value, df=9, p=0.01
 CHI2_CRIT_DF2_P01 = 9.210  # df=2
 
 
-def tiny_agent(seed=0, **overrides):
+# The states matrix replay rows index: 64 rows of 2 features.
+STATES = np.random.default_rng(100).normal(size=(64, 2))
+
+
+def tiny_agent(seed=0, states=STATES, **overrides):
     defaults = dict(
         net=NetConfig(input_dim=2, dropout_rate=0.0, l2_activity=0.0),
         batch_size=4,
@@ -38,13 +43,14 @@ def tiny_agent(seed=0, **overrides):
         lr=1e-3,
     )
     defaults.update(overrides)
-    return Agent.create(AgentConfig(**defaults), rngs=rng_streams(seed))
+    return Agent.create(AgentConfig(**defaults), rngs=rng_streams(seed), states=states)
 
 
-def transition(reward=0.01, done=False, seed=0, width=2):
-    """``ReplayBuffer.store`` arguments: (state, action, reward, next_state, done)."""
+def transition(reward=0.01, done=False, seed=0, rows=len(STATES)):
+    """``ReplayBuffer.store`` arguments (row, action, reward, done) for a
+    states matrix of ``rows`` rows."""
     rng = np.random.default_rng(seed)
-    return rng.normal(size=width), int(rng.integers(0, 3)), reward, rng.normal(size=width), done
+    return int(rng.integers(0, rows - 1)), int(rng.integers(0, 3)), reward, done
 
 
 def fill_buffer(agent, n, seed=0):
@@ -140,7 +146,7 @@ def test_select_action_requires_rng_when_exploring():
 # ------------------------------------------------------------ replay buffer
 
 def test_ring_overwrites_oldest():
-    buf = ReplayBuffer(capacity=2)
+    buf = ReplayBuffer(capacity=2, states=STATES)
     for i in range(3):
         buf.store(*transition(reward=float(i), seed=i))
     assert len(buf) == 2
@@ -157,7 +163,7 @@ def test_ring_overwrites_oldest():
 
 
 def test_buffer_size_grows_then_caps():
-    buf = ReplayBuffer(capacity=5)
+    buf = ReplayBuffer(capacity=5, states=STATES)
     assert len(buf) == 0
     buf.store(*transition())
     assert len(buf) == 1
@@ -167,7 +173,7 @@ def test_buffer_size_grows_then_caps():
 
 
 def test_buffer_grows_past_initial_allocation():
-    buf = ReplayBuffer(capacity=5000)
+    buf = ReplayBuffer(capacity=5000, states=STATES)
     stored = [transition(reward=float(i), seed=i) for i in range(2000)]
     for item in stored:
         buf.store(*item)
@@ -176,29 +182,29 @@ def test_buffer_grows_past_initial_allocation():
     slots = np.random.default_rng(3).integers(0, 2000, size=2000)  # sample's draws
     assert slots.min() < 1024 <= slots.max()  # both sides of the first allocation
     assert batch.rewards.tolist() == slots.astype(float).tolist()
-    for row, slot in enumerate(slots):
-        state, action, _, next_state, _ = stored[slot]
-        assert np.array_equal(batch.states[row], state)
-        assert np.array_equal(batch.next_states[row], next_state)
-        assert batch.actions[row] == action
+    for i, slot in enumerate(slots):
+        row, action, _, _ = stored[slot]
+        assert np.array_equal(batch.states[i], STATES[row])
+        assert np.array_equal(batch.next_states[i], STATES[row + 1])
+        assert batch.actions[i] == action
 
 
 def test_sample_single():
-    buf = ReplayBuffer(capacity=4)
+    buf = ReplayBuffer(capacity=4, states=STATES)
     buf.store(*transition(reward=0.42))
     batch = buf.sample(1, np.random.default_rng(0))
     assert batch.rewards.tolist() == [0.42]
 
 
 def test_sample_underfilled_errors():
-    buf = ReplayBuffer(capacity=8)
+    buf = ReplayBuffer(capacity=8, states=STATES)
     buf.store(*transition())
     with pytest.raises(ValueError, match="stored transitions"):
         buf.sample(2, np.random.default_rng(0))
 
 
 def test_sample_uniform_chi_square():
-    buf = ReplayBuffer(capacity=10)
+    buf = ReplayBuffer(capacity=10, states=STATES)
     for i in range(10):
         buf.store(*transition(reward=float(i), seed=i))
     rng = np.random.default_rng(11)
@@ -366,6 +372,7 @@ def test_dropout_draws_do_not_disturb_replay_stream():
             batch_size=4, replay_capacity=512, target_sync_every=5, lr=1e-3,
         ),
         rngs=rng_streams(5),
+        states=STATES,
     )
     for agent in (a, b):
         fill_buffer(agent, 8, seed=3)
@@ -375,14 +382,15 @@ def test_dropout_draws_do_not_disturb_replay_stream():
 
 
 def test_train_step_matches_unfused_reference():
-    # the fused step (one online pass over [states; next_states], reused
-    # workspace, in-place target sync) against the unfused primitives
+    # the frame-indexed step (one online pass over the touched rows, cached
+    # target hidden layers, reused workspace, in-place target sync) against
+    # the unfused primitives on explicit states
     config = AgentConfig(
         net=NetConfig(input_dim=2, dropout_rate=0.25, l2_activity=1e-3),
         batch_size=32, replay_capacity=512, target_sync_every=10, lr=1e-3,
     )
-    agent = Agent.create(config, rngs=rng_streams(4))
-    ref = Agent.create(config, rngs=rng_streams(4))
+    agent = Agent.create(config, rngs=rng_streams(4), states=STATES)
+    ref = Agent.create(config, rngs=rng_streams(4), states=STATES)
     for a in (agent, ref):
         for i in range(200):
             a.buffer.store(*transition(reward=0.001 * i, done=i % 17 == 0, seed=i))
@@ -410,16 +418,88 @@ def test_train_step_matches_unfused_reference():
 def test_workspace_reuse_leaks_nothing():
     config = NetConfig(input_dim=3, dropout_rate=0.25, l2_activity=1e-3)
     params = init_params(config, np.random.default_rng(0))
-    ws = Workspace(config, 8, stacked=True)
+    ws = Workspace(config, 8)
     data = np.random.default_rng(1)
     for n in (8, 5, 8):
         states = data.normal(size=(n, 3))
-        next_states = data.normal(size=(n, 3))
         actions = data.integers(0, 3, size=n)
         targets = data.normal(size=n)
-        ws.hidden(params, states, next_states)
+        ws.hidden(params, states)
         loss, grads = ws.loss_and_grads(params, actions, targets, np.random.default_rng(n))
         fresh_loss, fresh_grads = loss_and_grads(params, states, actions, targets, config,
                                                  rng=np.random.default_rng(n))
         assert loss == fresh_loss
         assert np.array_equal(grads.flat, fresh_grads.flat)
+
+
+# ------------------------------------------------------- frame-indexed replay
+
+def test_store_rejects_row_without_next_state():
+    buf = ReplayBuffer(capacity=8, states=STATES)
+    for row in (-1, len(STATES) - 1, len(STATES)):
+        with pytest.raises(ValueError, match="outside"):
+            buf.store(row, 0, 0.0, False)
+    buf.store(len(STATES) - 2, 0, 0.0, False)  # the last row with a next row
+    assert len(buf) == 1
+    with pytest.raises(ValueError, match="no states matrix"):
+        ReplayBuffer(capacity=8).store(0, 0, 0.0, False)
+
+
+@pytest.mark.parametrize("frame_rows, batch, sync_every", [
+    (200, 16, 3),  # F > 2B: only the touched rows are computed
+    (20, 32, 1),  # F < 2B, and a target sync after every step
+])
+def test_frame_path_matches_reference_bit_for_bit(monkeypatch, frame_rows, batch, sync_every):
+    import ddqn_trader.agent as agent_module
+
+    states = np.random.default_rng(frame_rows).normal(size=(frame_rows, 3))
+    last_row = frame_rows - 2
+    if frame_rows > 2 * batch:
+        # A row no transition touches: neither network's pass may read it.
+        states[-1] = np.nan
+        last_row = frame_rows - 3
+    config = AgentConfig(
+        net=NetConfig(input_dim=3, dropout_rate=0.2, l2_activity=1e-3),
+        batch_size=batch, replay_capacity=512, target_sync_every=sync_every, lr=1e-2,
+    )
+    agent = Agent.create(config, rngs=rng_streams(6), states=states)
+    ref = Agent.create(config, rngs=rng_streams(6), states=states)
+    data = np.random.default_rng(8)
+    for i in range(3 * batch):
+        row, action = int(data.integers(0, last_row + 1)), int(data.integers(0, 3))
+        for a in (agent, ref):
+            a.buffer.store(row, action, 0.01 * (i % 7), i % 5 == 0)
+
+    recorded = []
+    frame_targets = agent_module._FramePass.targets
+    monkeypatch.setattr(agent_module._FramePass, "targets",
+                        lambda self, *args: recorded.append(frame_targets(self, *args))
+                        or recorded[-1])
+    saw_done = False
+    for step in range(1, 13):
+        if step == 6:  # a new target object, not a sync, is read from the next step on
+            agent.target, ref.target = agent.online.clone(), ref.online.clone()
+        loss = train_step(agent)
+        frame = agent._frame
+        touched = np.unique(np.concatenate([frame.rows, frame.rows + 1]))
+        assert np.count_nonzero(frame.touched) == len(touched) <= min(frame_rows, 2 * batch)
+
+        batch_ref = ref.buffer.sample(batch, ref._replay_rng)
+        targets = compute_targets(ref, batch_ref)
+        ws = Workspace(config.net, batch)
+        ws.hidden(ref.online, batch_ref.states)
+        ref_loss, grads = ws.loss_and_grads(ref.online, batch_ref.actions, targets,
+                                            ref._dropout_rng)
+        ref.online, ref.adam = adam_step(ref.online, grads, ref.adam, config.lr)
+        if step % sync_every == 0:
+            sync_target(ref)
+
+        saw_done |= bool(batch_ref.dones.any())
+        assert np.array_equal(recorded[-1], targets)
+        assert loss == ref_loss
+        assert np.array_equal(frame.ws.grads.flat, grads.flat)
+        assert np.array_equal(agent.online.flat, ref.online.flat)
+        assert np.array_equal(agent.target.flat, ref.target.flat)
+        assert np.array_equal(agent.adam.m, ref.adam.m)
+        assert np.array_equal(agent.adam.v, ref.adam.v)
+    assert saw_done and len(recorded) == 12

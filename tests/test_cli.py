@@ -273,3 +273,50 @@ def test_evaluate_non_finite_q_values_exit_code(workspace, capsys):
     err = capsys.readouterr().err
     assert "non-finite Q-values" in err and err.count("\n") == 1
     assert not (tmp_path / "ev" / "report.json").exists()
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("line", ["trading_cost = inf", "trading_cost = nan", "time_cost = inf"])
+def test_non_finite_cost_exit_code(workspace, capsys, line):
+    tmp_path, config = workspace
+    prep, run = tmp_path / "prep", tmp_path / "run"
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    assert main(["train", "--config", str(config), "--frame", str(prep / "train_frame.csv"),
+                 "--out", str(run)]) == 0
+    bad = tmp_path / "bad.conf"
+    bad.write_text(config.read_text() + f"\n{line}\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(bad), "--frame", str(prep / "train_frame.csv"),
+                 "--out", str(tmp_path / "run_bad")]) == 2
+    assert "cost" in _one_error_line(capsys)
+    assert main(["evaluate", "--config", str(bad), "--checkpoint", str(run / "checkpoint.json"),
+                 "--frame", str(prep / "test_frame.csv"), "--out", str(tmp_path / "ev")]) == 2
+    assert "cost" in _one_error_line(capsys)
+    assert not (tmp_path / "ev" / "report.json").exists()
+
+
+def test_negative_seed_exit_code(workspace, capsys):
+    tmp_path, config = workspace
+    prep, run = tmp_path / "prep", tmp_path / "run"
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--frame", str(prep / "train_frame.csv"),
+                 "--out", str(run), "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--days", "5"], "n_days must be >= 10"),
+    (["--sigma", "-1"], "sigma must be"),
+    (["--mu", "1e6"], "not finite"),
+])
+def test_synth_bad_number_exit_code(tmp_path, capsys, args, message):
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--out", str(out)] + args) == 2
+    assert message in _one_error_line(capsys)
+    assert not out.exists()

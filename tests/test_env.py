@@ -19,6 +19,13 @@ def test_cost_model_rejects_negative():
         CostModel(-1e-4, 0.0)
 
 
+@pytest.mark.parametrize("costs", [(float("nan"), 0.0), (float("inf"), 0.0), (0.0, float("nan")),
+                                   (0.0, float("inf")), (0.0, float("-inf"))])
+def test_cost_model_rejects_non_finite(costs):
+    with pytest.raises(ConfigError, match="finite"):
+        CostModel(*costs)
+
+
 def test_reset_fixed_start(frame10):
     env = TradingEnv(EnvConfig(frame=frame10, episode_length=5, costs=NO_COST, start=0))
     obs = env.reset()

@@ -343,3 +343,14 @@ def test_render_report_null_sharpe():
     report = PerformanceReport("M0", 0.1, 0.0, None, 1.5, 0.5, 10)
     text = render_report_json([report])
     assert '"sharpe": null' in text
+
+
+@pytest.mark.parametrize("field, value", [("e_r", -math.inf), ("std_r", math.nan),
+                                          ("sharpe", math.inf)])
+def test_render_report_rejects_non_finite_metric(field, value):
+    metrics = dict(e_r=0.1, std_r=0.2, sharpe=0.5)
+    metrics[field] = value
+    report = PerformanceReport("M0", metrics["e_r"], metrics["std_r"], metrics["sharpe"],
+                               1.5, 0.5, 10)
+    with pytest.raises(NumericsError, match=f"non-finite {field}"):
+        render_report_json([report])

@@ -115,6 +115,12 @@ def test_forward_eval_deterministic():
     assert np.array_equal(q1, q2)
 
 
+def test_forward_eval_empty_batch():
+    config = NetConfig(input_dim=2, seed=3)
+    q, _ = forward(init_params(config), np.zeros((0, 2)), config, mode="eval")
+    assert q.shape == (0, 3)
+
+
 def test_forward_handcrafted_single_unit():
     # one unit per hidden layer, hand-computed activations
     config = NetConfig(input_dim=1, hidden_dims=(1, 1), dropout_rate=0.0, l2_activity=0.0)

@@ -308,6 +308,14 @@ def test_checkpoint_corrupt_file(tmp_path):
 
 def test_checkpoint_resume_matches_uninterrupted_step(tmp_path):
     # same rng streams and same refilled buffer -> identical next update
+    states = np.random.default_rng(39).normal(size=(40, 2))
+
+    def store_random(agent, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(32):
+            agent.buffer.store(int(rng.integers(0, len(states) - 1)), int(rng.integers(0, 3)),
+                               float(rng.normal(scale=0.01)), False)
+
     def fresh_agent():
         agent = Agent.create(
             AgentConfig(
@@ -315,33 +323,26 @@ def test_checkpoint_resume_matches_uninterrupted_step(tmp_path):
                 batch_size=8, replay_capacity=256, lr=1e-3,
             ),
             rngs=rng_streams(7),
+            states=states,
         )
-        rng = np.random.default_rng(40)
-        for _ in range(32):
-            agent.buffer.store(rng.normal(size=2), int(rng.integers(0, 3)),
-                               float(rng.normal(scale=0.01)), rng.normal(size=2), False)
+        store_random(agent, 40)
         train_step(agent)
         return agent
-
-    def refill(agent):
-        rng = np.random.default_rng(41)
-        for _ in range(32):
-            agent.buffer.store(rng.normal(size=2), int(rng.integers(0, 3)),
-                               float(rng.normal(scale=0.01)), rng.normal(size=2), False)
 
     uninterrupted = fresh_agent()
     streams = rng_streams(99)
     uninterrupted._replay_rng = streams["replay"]
     uninterrupted._dropout_rng = streams["dropout"]
-    uninterrupted.buffer = type(uninterrupted.buffer)(uninterrupted.config.replay_capacity)
-    refill(uninterrupted)
+    uninterrupted.buffer = type(uninterrupted.buffer)(uninterrupted.config.replay_capacity, states)
+    store_random(uninterrupted, 41)
     loss_u = train_step(uninterrupted)
 
     resumed_source = fresh_agent()
     path = tmp_path / "resume.json"
     save_checkpoint(resumed_source, path)
     resumed = load_checkpoint(path, seed=99)
-    refill(resumed)
+    resumed.buffer = type(resumed.buffer)(resumed.config.replay_capacity, states)
+    store_random(resumed, 41)
     loss_r = train_step(resumed)
 
     assert loss_u == loss_r
