@@ -13,6 +13,7 @@ identical weights. The target network is refreshed from the online one every
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,11 +125,11 @@ class ReplayBuffer:
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
-    """Exploration probability: linear from 1.0 down to a knee, then
+    """Exploration probability: linear from ``eps_start`` down to a knee, then
     exponential decay reaching ``eps_end`` exactly at ``total_episodes``."""
 
-    total_episodes: int
-    linear_until: int
+    total_episodes: int = 1000
+    linear_until: int | None = None  # None -> max(1, total_episodes // 2)
     eps_start: float = 1.0
     eps_end: float = 0.01
     eps_knee: float = 0.1
@@ -136,14 +137,16 @@ class EpsilonSchedule:
     def __post_init__(self):
         if self.total_episodes < 1:
             raise ConfigError(f"total_episodes must be >= 1, got {self.total_episodes}")
+        if self.linear_until is None:
+            object.__setattr__(self, "linear_until", max(1, self.total_episodes // 2))
         if not 1 <= self.linear_until <= self.total_episodes:
             raise ConfigError(
                 f"linear_until must be in [1, {self.total_episodes}], got {self.linear_until}"
             )
-        if not self.eps_start >= self.eps_knee >= self.eps_end > 0:
+        if not 0 < self.eps_end <= self.eps_knee <= self.eps_start <= 1:
             raise ConfigError(
-                f"need eps_start >= eps_knee >= eps_end > 0, got "
-                f"{self.eps_start} / {self.eps_knee} / {self.eps_end}"
+                f"need 0 < eps_end <= eps_knee <= eps_start <= 1, got "
+                f"{self.eps_end} / {self.eps_knee} / {self.eps_start}"
             )
 
 
@@ -176,8 +179,8 @@ class AgentConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.target_sync_every < 1:
             raise ConfigError(f"target_sync_every must be >= 1, got {self.target_sync_every}")
         if self.target_sync_unit not in ("steps", "episodes"):

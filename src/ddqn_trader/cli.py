@@ -1,8 +1,16 @@
 """Command-line surface: prepare, synth, train, evaluate, report.
 
-Runs are driven by a flat ``key = value`` config file whose defaults reproduce
-the standard hyperparameter set, so an empty config is a valid full setup.
-Every command validates its whole configuration before writing anything.
+Runs are driven by a flat ``key = value`` config file. Each key sets one field
+of a library dataclass, or one parameter of a library function, as listed in
+``CONFIG_KEYS``. A key the file leaves out takes that owner's default, so the
+defaults and range checks are stated once, in the library.
+
+Commands validate before writing anything, and each builds what it reads.
+``train`` builds its ``TrainConfig`` from the train frame. ``prepare`` builds
+the same ``TrainConfig`` from the train frame it has just made, so it rejects
+whatever ``train`` would. ``evaluate`` builds the ``CostModel`` and checks the
+seed as it loads the checkpoint; without the train frame it cannot check the
+training keys. Every command rejects unknown keys and values that do not parse.
 
 Exit codes: 0 ok, 2 config/validation failure, 3 runtime/numeric failure.
 """
@@ -10,11 +18,12 @@ Exit codes: 0 ok, 2 config/validation failure, 3 runtime/numeric failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
+import re
 import sys
 import time
-from dataclasses import dataclass, field
 from datetime import date
 
 from .agent import AgentConfig, EpsilonSchedule
@@ -23,6 +32,7 @@ from .errors import CheckpointError, ConfigError, DataError, NumericsError
 from .evaluation import emit_report, render_report_json, run_backtest, PerformanceReport
 from .market_data import (
     MODEL_ROLES,
+    FeatureFrame,
     ModelId,
     SplitSpec,
     build_features,
@@ -53,66 +63,43 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-# key -> (parser, default); None defaults are derived later
-CONFIG_SCHEMA: dict[str, tuple] = {
-    "model": (int, 0),
-    "seed": (int, 0),
-    "episodes": (int, 1000),
-    "episode_length": (int, 252),
-    "discount": (float, 0.9),
-    "learning_rate": (float, 1e-4),
-    "epsilon_start": (float, 1.0),
-    "epsilon_end": (float, 0.01),
-    "epsilon_knee": (float, 0.1),
-    "linear_until": (int, None),
-    "target_sync": (int, 100),
-    "target_sync_unit": (str, "steps"),
-    "replay_capacity": (int, 1_000_000),
-    "batch_size": (int, 4096),
-    "warmup": (int, None),
-    "trading_cost": (float, 1e-4),
-    "time_cost": (float, 1e-5),
-    "ewma_decay": (float, 0.94),
-    "horizon_scaled": (_parse_bool, False),
-    "dropout": (float, 0.1),
-    "l2_activity": (float, 1e-6),
-    "early_stop_streak": (int, 25),
-    "ma_window": (int, 50),
-    "train_start": (date.fromisoformat, None),
-    "train_end": (date.fromisoformat, None),
-    "test_end": (date.fromisoformat, None),
-    **{f"data.{role}": (str, None) for role in ASSET_ROLES},
+# key -> (parser, owner, field): the key sets the field of the dataclass, or
+# the parameter of the function, ``owner``
+CONFIG_KEYS: dict[str, tuple] = {
+    "model": (lambda s: ModelId(int(s)), read_frame_csv, "model_id"),
+    "seed": (int, TrainConfig, "seed"),
+    "episodes": (int, EpsilonSchedule, "total_episodes"),
+    "episode_length": (int, EnvConfig, "episode_length"),
+    "discount": (float, AgentConfig, "gamma"),
+    "learning_rate": (float, AgentConfig, "lr"),
+    "epsilon_start": (float, EpsilonSchedule, "eps_start"),
+    "epsilon_end": (float, EpsilonSchedule, "eps_end"),
+    "epsilon_knee": (float, EpsilonSchedule, "eps_knee"),
+    "linear_until": (int, EpsilonSchedule, "linear_until"),
+    "target_sync": (int, AgentConfig, "target_sync_every"),
+    "target_sync_unit": (str, AgentConfig, "target_sync_unit"),
+    "replay_capacity": (int, AgentConfig, "replay_capacity"),
+    "batch_size": (int, AgentConfig, "batch_size"),
+    "warmup": (int, AgentConfig, "warmup"),
+    "trading_cost": (float, CostModel, "trading_cost"),
+    "time_cost": (float, CostModel, "time_cost"),
+    "ewma_decay": (float, build_features, "decay"),
+    "horizon_scaled": (_parse_bool, build_features, "horizon_scaled"),
+    "dropout": (float, NetConfig, "dropout_rate"),
+    "l2_activity": (float, NetConfig, "l2_activity"),
+    "early_stop_streak": (int, TrainConfig, "early_stop_streak"),
+    "ma_window": (int, TrainConfig, "ma_window"),
+    **{key: (date.fromisoformat, SplitSpec, key)
+       for key in ("train_start", "train_end", "test_end")},
+    **{f"data.{role}": (str, load_csv, "path") for role in ASSET_ROLES},
 }
 
 
-@dataclass
-class RunConfig:
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    @property
-    def model(self) -> ModelId:
-        m = self.values["model"]
-        if m not in (0, 1, 2, 3):
-            raise ConfigError(f"model must be 0..3, got {m}")
-        return ModelId(m)
-
-    def costs(self) -> CostModel:
-        return CostModel(self.values["trading_cost"], self.values["time_cost"])
-
-    def split_spec(self) -> SplitSpec:
-        for key in ("train_start", "train_end", "test_end"):
-            if self.values[key] is None:
-                raise ConfigError(f"config key {key!r} is required")
-        return SplitSpec(self.values["train_start"], self.values["train_end"],
-                         self.values["test_end"])
-
-
-def load_config(path: str | None) -> RunConfig:
-    """Parse a flat key=value config file; unknown keys are an error."""
-    values = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
+def load_config(args) -> dict:
+    """The keys that ``args.config``, a flat key=value file, sets, parsed, with
+    ``--seed``, ``--model`` and ``--costs`` applied; unknown keys are an error."""
+    values = {}
+    path = args.config
     if path is not None:
         try:
             with open(path) as fh:
@@ -127,49 +114,51 @@ def load_config(path: str | None) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in CONFIG_SCHEMA:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            parser = CONFIG_SCHEMA[key][0]
             try:
-                values[key] = parser(value)
+                values[key] = CONFIG_KEYS[key][0](value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return RunConfig(values)
-
-
-def _apply_overrides(config: RunConfig, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        config.values["seed"] = args.seed
-    if getattr(args, "model", None) is not None:
-        config.values["model"] = args.model
-    if getattr(args, "costs", None) is not None:
+    if args.seed is not None:
+        values["seed"] = args.seed
+    if args.model is not None:
+        values["model"] = ModelId(args.model)
+    if args.costs is not None:
         preset = COST_PRESETS[args.costs]
-        config.values["trading_cost"] = preset.trading_cost
-        config.values["time_cost"] = preset.time_cost
+        values.update(trading_cost=preset.trading_cost, time_cost=preset.time_cost)
+    return values
 
 
-def _validate_ranges(config: RunConfig) -> None:
-    v = config.values
-    checks = [
-        (v["episodes"] >= 1, "episodes must be >= 1"),
-        (v["episode_length"] >= 1, "episode_length must be >= 1"),
-        (0.0 <= v["discount"] <= 1.0, "discount must be in [0, 1]"),
-        (v["learning_rate"] > 0, "learning_rate must be > 0"),
-        (0 < v["ewma_decay"] < 1, "ewma_decay must be in (0, 1)"),
-        (0 <= v["dropout"] < 1, "dropout must be in [0, 1)"),
-        (v["l2_activity"] >= 0, "l2_activity must be >= 0"),
-        (v["trading_cost"] >= 0, "trading_cost must be >= 0"),
-        (v["time_cost"] >= 0, "time_cost must be >= 0"),
-        (v["target_sync"] >= 1, "target_sync must be >= 1"),
-        (1 <= v["batch_size"] <= v["replay_capacity"],
-         "batch_size must be in [1, replay_capacity]"),
-        (v["early_stop_streak"] >= 1, "early_stop_streak must be >= 1"),
-        (v["ma_window"] >= 1, "ma_window must be >= 1"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise ConfigError(message)
-    config.model  # range-checks the model id
+def _value(values: dict, key: str):
+    """The key's value as set, or else its owner's default."""
+    if key in values:
+        return values[key]
+    _, owner, field = CONFIG_KEYS[key]
+    default = inspect.signature(owner).parameters[field].default
+    if default is inspect.Parameter.empty:
+        raise ConfigError(f"config key {key!r} is required")
+    return default
+
+
+def _build(owner, values: dict, **given):
+    """``owner(**given)`` with every field the config keys set; a ConfigError is
+    reworded with the key names (``discount``, not ``gamma``)."""
+    keys = {field: key for key, (_, own, field) in CONFIG_KEYS.items() if own is owner}
+    try:
+        return owner(**{field: _value(values, key) for field, key in keys.items()}, **given)
+    except ConfigError as exc:
+        names = re.compile(r"\b(" + "|".join(keys) + r")\b")
+        raise ConfigError(names.sub(lambda m: keys[m[1]], str(exc))) from exc
+
+
+def train_config(values: dict, frame: FeatureFrame) -> TrainConfig:
+    """The training setup the config describes for ``frame``."""
+    net = _build(NetConfig, values, input_dim=frame.n_features)
+    env = _build(EnvConfig, values, frame=frame, costs=_build(CostModel, values))
+    schedule = _build(EpsilonSchedule, values)
+    return _build(TrainConfig, values, env=env, agent=_build(AgentConfig, values, net=net),
+                  schedule=schedule, episodes=schedule.total_episodes)
 
 
 def _output_paths(out_dir: str, names: list[str], force: bool) -> dict[str, str]:
@@ -197,26 +186,21 @@ def _write_atomic_with(path: str, writer_fn) -> None:
 
 
 def cmd_prepare(args) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    _validate_ranges(config)
-    model = config.model
-    spec = config.split_spec()
+    values = load_config(args)
+    model = _value(values, "model")
+    spec = _build(SplitSpec, values)
     series_by_role = {}
     asset_meta = {}
     for role in MODEL_ROLES[model]:
-        path = config.values[f"data.{role}"]
-        if path is None:
-            raise ConfigError(f"{model.name} needs config key 'data.{role}'")
-        series = load_csv(path, asset_id=role)
+        key = f"data.{role}"
+        if key not in values:
+            raise ConfigError(f"{model.name} needs config key {key!r}")
+        series = load_csv(values[key], asset_id=role)
         series_by_role[role] = series
-        asset_meta[role] = {"path": path, "rows": len(series), "dropped": series.drop_count}
-    frame = build_features(
-        model, series_by_role,
-        decay=config.values["ewma_decay"],
-        horizon_scaled=config.values["horizon_scaled"],
-    )
+        asset_meta[role] = {"path": values[key], "rows": len(series), "dropped": series.drop_count}
+    frame = _build(build_features, values, model_id=model, series_by_role=series_by_role)
     train_frame, test_frame = split(frame, spec)
+    train_config(values, train_frame)  # reject now what train would reject later
     os.makedirs(args.out, exist_ok=True)
     paths = _output_paths(args.out, ["train_frame.csv", "test_frame.csv", "prepare.json"],
                           args.force)
@@ -224,8 +208,8 @@ def cmd_prepare(args) -> int:
     _write_atomic_with(paths["test_frame.csv"], lambda p: write_frame_csv(test_frame, p))
     provenance = {
         "model": model.name,
-        "ewma_decay": config.values["ewma_decay"],
-        "horizon_scaled": config.values["horizon_scaled"],
+        "ewma_decay": _value(values, "ewma_decay"),
+        "horizon_scaled": _value(values, "horizon_scaled"),
         "columns": [list(c) for c in frame.columns],
         "assets": asset_meta,
         "split": {
@@ -267,70 +251,30 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _train_config_from(config: RunConfig, frame) -> TrainConfig:
-    v = config.values
-    episodes = v["episodes"]
-    linear_until = v["linear_until"]
-    if linear_until is None:
-        linear_until = max(1, episodes // 2)
-    net_config = NetConfig(
-        input_dim=frame.n_features,
-        dropout_rate=v["dropout"],
-        l2_activity=v["l2_activity"],
-    )
-    return TrainConfig(
-        env=EnvConfig(frame=frame, episode_length=v["episode_length"], costs=config.costs()),
-        agent=AgentConfig(
-            net=net_config,
-            gamma=v["discount"],
-            lr=v["learning_rate"],
-            batch_size=v["batch_size"],
-            target_sync_every=v["target_sync"],
-            target_sync_unit=v["target_sync_unit"],
-            replay_capacity=v["replay_capacity"],
-            warmup=v["warmup"],
-        ),
-        schedule=EpsilonSchedule(
-            total_episodes=episodes,
-            linear_until=linear_until,
-            eps_start=v["epsilon_start"],
-            eps_end=v["epsilon_end"],
-            eps_knee=v["epsilon_knee"],
-        ),
-        episodes=episodes,
-        early_stop_streak=v["early_stop_streak"],
-        ma_window=v["ma_window"],
-        seed=v["seed"],
-    )
-
-
 def cmd_train(args) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    _validate_ranges(config)
-    frame = read_frame_csv(args.frame, config.model)
-    train_config = _train_config_from(config, frame)
+    values = load_config(args)
+    frame = _build(read_frame_csv, values, path=args.frame)
+    config = train_config(values, frame)
     os.makedirs(args.out, exist_ok=True)
     paths = _output_paths(args.out, ["train_log.csv", "train_summary.json", "checkpoint.json"],
                           args.force)
     started = time.monotonic()
-    log, agent = run_training(train_config)
+    log, agent = run_training(config)
     wall = time.monotonic() - started
     _write_atomic_with(paths["train_log.csv"], lambda p: write_log_csv(log, p))
     _write_atomic_with(paths["train_summary.json"], lambda p: write_summary_json(log, p, wall))
     _write_atomic_with(paths["checkpoint.json"], lambda p: save_checkpoint(agent, p))
     print(
-        f"trained {config.model.name}: {len(log.records)} episodes, {log.termination}"
+        f"trained {frame.model_id.name}: {len(log.records)} episodes, {log.termination}"
         + (f" at episode {log.early_stop_episode}" if log.early_stop_episode else "")
     )
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    _validate_ranges(config)
-    agent = load_checkpoint(args.checkpoint, seed=config.values["seed"])
+    values = load_config(args)
+    costs = _build(CostModel, values)
+    agent = load_checkpoint(args.checkpoint, seed=_value(values, "seed"))
     width = agent.config.net.input_dim
     if args.model is not None:
         model_value = args.model
@@ -344,7 +288,6 @@ def cmd_evaluate(args) -> int:
         raise DataError(
             f"checkpoint expects {width} input features but frame has {frame.n_features}"
         )
-    costs = config.costs()
     result = run_backtest(agent, frame, costs)
     os.makedirs(args.out, exist_ok=True)
     _output_paths(args.out, ["report.json", "nav_curves.csv"], args.force)

@@ -17,6 +17,7 @@ calling return signs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -222,8 +223,10 @@ def emit_report(
 ) -> tuple[str, str]:
     """Write report.json (one row per model plus market) and nav_curves.csv.
 
-    All results must cover the same window; the oracle is computed once from
-    that window's market returns under the given cost model.
+    Both are written to temp files first, so a failed write leaves the
+    previous report.json and nav_curves.csv as they were. All results must
+    cover the same window; the oracle is computed once from that window's
+    market returns under the given cost model.
     """
     if not results:
         raise ValueError("no backtest results to report")
@@ -241,13 +244,22 @@ def emit_report(
     report_path = os.path.join(out_dir, "report.json")
     curves_path = os.path.join(out_dir, "nav_curves.csv")
     report_text = render_report_json(reports)  # raises before any file is written
-    with open(report_path, "w") as fh:
-        fh.write(report_text)
-    with open(curves_path, "w", newline="") as fh:
-        fh.write("date,model,nav\n")
-        for name, res in items:
-            for d, nav in zip(res.dates, res.agent_nav):
-                fh.write(f"{d.isoformat()},{name},{nav:.6f}\n")
-        for d, nav in zip(first.dates, first.market_nav):
-            fh.write(f"{d.isoformat()},market,{nav:.6f}\n")
+    tmps = (report_path + ".tmp", curves_path + ".tmp")
+    try:
+        with open(tmps[0], "w") as fh:
+            fh.write(report_text)
+        with open(tmps[1], "w", newline="") as fh:
+            fh.write("date,model,nav\n")
+            for name, res in items:
+                for d, nav in zip(res.dates, res.agent_nav):
+                    fh.write(f"{d.isoformat()},{name},{nav:.6f}\n")
+            for d, nav in zip(first.dates, first.market_nav):
+                fh.write(f"{d.isoformat()},market,{nav:.6f}\n")
+    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+    os.replace(tmps[0], report_path)
+    os.replace(tmps[1], curves_path)
     return report_path, curves_path

@@ -270,7 +270,7 @@ def ewma_vol(returns: ReturnSeries, decay: float, seed_var: float | None = None)
     strictly positive on any date whose trailing window saw a nonzero return.
     """
     if not 0.0 < decay < 1.0:
-        raise ValueError(f"decay must be in (0, 1), got {decay}")
+        raise ConfigError(f"decay must be in (0, 1), got {decay}")
     if len(returns) == 0:
         raise DataError(f"{returns.asset_id}: empty return series")
     sq = returns.values**2
@@ -451,7 +451,7 @@ def write_frame_csv(frame: FeatureFrame, path) -> None:
             writer.writerow([d.isoformat()] + [repr(v) for v in values] + [repr(target)])
 
 
-def read_frame_csv(path, model_id: ModelId | int) -> FeatureFrame:
+def read_frame_csv(path, model_id: ModelId | int = ModelId.M0) -> FeatureFrame:
     """Read a frame written by :func:`write_frame_csv`.
 
     Column identities are reconstructed from the model's fixed role/horizon

@@ -50,8 +50,8 @@ class NetConfig:
             raise ConfigError("all layer dims must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.l2_activity < 0:
-            raise ConfigError(f"l2_activity must be >= 0, got {self.l2_activity}")
+        if not 0 <= self.l2_activity < math.inf:
+            raise ConfigError(f"l2_activity must be finite and >= 0, got {self.l2_activity}")
 
     @property
     def layer_shapes(self) -> tuple[tuple[int, int], ...]:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,27 @@ def test_epsilon_schedule_validation():
         EpsilonSchedule(total_episodes=100, linear_until=50, eps_end=0.0)
     with pytest.raises(ValueError):
         epsilon_at(EpsilonSchedule(total_episodes=10, linear_until=5), 11)
+
+
+@pytest.mark.parametrize("eps", [
+    dict(eps_start=math.inf), dict(eps_start=1.5), dict(eps_start=math.nan),
+    dict(eps_knee=math.nan), dict(eps_end=math.nan), dict(eps_knee=0.001),
+])
+def test_epsilon_schedule_requires_ordered_probabilities(eps):
+    with pytest.raises(ConfigError, match="0 < eps_end <= eps_knee <= eps_start <= 1"):
+        EpsilonSchedule(total_episodes=100, linear_until=50, **eps)
+
+
+def test_epsilon_schedule_defaults_linear_until_to_half():
+    assert EpsilonSchedule(total_episodes=9).linear_until == 4
+    assert EpsilonSchedule(total_episodes=1).linear_until == 1
+    assert EpsilonSchedule().total_episodes == 1000
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-4, math.nan, math.inf])
+def test_agent_config_requires_finite_positive_lr(lr):
+    with pytest.raises(ConfigError, match="lr must be finite and > 0"):
+        AgentConfig(net=NetConfig(input_dim=2), lr=lr)
 
 
 # ------------------------------------------------------------ select_action

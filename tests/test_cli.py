@@ -1,9 +1,16 @@
+import inspect
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from ddqn_trader.cli import main
-from ddqn_trader.market_data import load_csv
+from ddqn_trader.agent import AgentConfig, EpsilonSchedule
+from ddqn_trader.cli import CONFIG_KEYS, main
+from ddqn_trader.env import EnvConfig
+from ddqn_trader.market_data import ModelId, load_csv, read_frame_csv
+from ddqn_trader.net import NetConfig
+from ddqn_trader.training import TrainConfig, config_hash, config_snapshot
 
 SMOKE_CONFIG = """
 # desk-scale smoke setup
@@ -320,3 +327,107 @@ def test_synth_bad_number_exit_code(tmp_path, capsys, args, message):
     assert main(["synth", "--out", str(out)] + args) == 2
     assert message in _one_error_line(capsys)
     assert not out.exists()
+
+
+def _prepare_and_train(tmp_path, config, name="run"):
+    prep, run = tmp_path / "prep", tmp_path / name
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    assert main(["train", "--config", str(config), "--frame", str(prep / "train_frame.csv"),
+                 "--out", str(run)]) == 0
+    return prep, run
+
+
+@pytest.mark.parametrize("line, key, field", [
+    ("discount = 1.5", "discount", "gamma"),
+    ("learning_rate = 0", "learning_rate", "lr"),
+    ("target_sync = 0", "target_sync", "target_sync_every"),
+    ("dropout = 1", "dropout", "dropout_rate"),
+    ("episodes = 0", "episodes", "total_episodes"),
+    ("epsilon_start = 2", "epsilon_start", "eps_start"),
+    ("epsilon_end = 0", "epsilon_end", "eps_end"),
+    ("epsilon_knee = 0.001", "epsilon_knee", "eps_knee"),
+    ("ewma_decay = 1.5", "ewma_decay", "decay"),
+])
+def test_bad_value_message_names_the_config_key(workspace, capsys, line, key, field):
+    tmp_path, config = workspace
+    bad = tmp_path / "bad.conf"
+    bad.write_text(config.read_text() + f"\n{line}\n")
+    capsys.readouterr()
+    assert main(["prepare", "--config", str(bad), "--out", str(tmp_path / "prep")]) == 2
+    err = _one_error_line(capsys)
+    assert re.search(rf"\b{key}\b", err) and not re.search(rf"\b{field}\b", err), err
+    assert ", got " in err
+
+
+@pytest.mark.parametrize("line", [
+    "learning_rate = inf", "l2_activity = nan", "epsilon_start = inf", "warmup = -1",
+    "linear_until = 5", "target_sync_unit = foo", "seed = -3", "early_stop_streak = 0",
+])
+def test_prepare_and_train_reject_the_same_values(workspace, capsys, line):
+    tmp_path, config = workspace
+    prep = tmp_path / "prep"
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    bad = tmp_path / "bad.conf"
+    bad.write_text(config.read_text() + f"\n{line}\n")
+    key = line.split()[0]
+    capsys.readouterr()
+    assert main(["prepare", "--config", str(bad), "--out", str(tmp_path / "prep_bad")]) == 2
+    assert key in _one_error_line(capsys)
+    assert not (tmp_path / "prep_bad").exists()
+    assert main(["train", "--config", str(bad), "--frame", str(prep / "train_frame.csv"),
+                 "--out", str(tmp_path / "run_bad")]) == 2
+    assert key in _one_error_line(capsys)
+    assert not (tmp_path / "run_bad").exists()
+
+
+def test_prepare_rejects_episode_longer_than_train_frame(workspace, capsys):
+    tmp_path, config = workspace
+    bad = tmp_path / "bad.conf"
+    bad.write_text(config.read_text() + "\nepisode_length = 500\n")
+    capsys.readouterr()
+    assert main(["prepare", "--config", str(bad), "--out", str(tmp_path / "prep")]) == 2
+    assert "episode_length 500 needs at least 501 frame rows" in _one_error_line(capsys)
+    assert not (tmp_path / "prep").exists()
+
+
+def test_evaluate_ignores_training_only_keys(workspace):
+    tmp_path, config = workspace
+    prep, run = _prepare_and_train(tmp_path, config)
+    other = tmp_path / "other.conf"
+    other.write_text(config.read_text() + "\ndiscount = 1.5\nbatch_size = 4096\n")
+    assert main(["evaluate", "--config", str(other), "--checkpoint", str(run / "checkpoint.json"),
+                 "--frame", str(prep / "test_frame.csv"), "--out", str(tmp_path / "ev")]) == 0
+
+
+def test_model_set_in_config_file_is_honoured(workspace):
+    tmp_path, config = workspace
+    m1 = tmp_path / "m1.conf"
+    m1.write_text(config.read_text() + "\nmodel = 1\n")
+    prep, run = _prepare_and_train(tmp_path, m1)
+    assert json.loads((prep / "prepare.json").read_text())["model"] == "M1"
+    frame = json.loads((run / "train_summary.json").read_text())["config"]["env"]["frame"]
+    assert (frame["model"], frame["features"]) == ("M1", 4)
+
+
+def test_train_summary_config_defaults_come_from_dataclasses(workspace):
+    tmp_path, config = workspace
+    prep, run = _prepare_and_train(tmp_path, config)
+    frame = read_frame_csv(prep / "train_frame.csv", ModelId.M0)
+    by_hand = TrainConfig(
+        env=EnvConfig(frame=frame, episode_length=20),
+        agent=AgentConfig(net=NetConfig(input_dim=frame.n_features), lr=1e-3, batch_size=8,
+                          replay_capacity=512),
+        schedule=EpsilonSchedule(total_episodes=3, linear_until=1),
+        episodes=3,
+    )
+    summary = json.loads((run / "train_summary.json").read_text())
+    assert summary["config"] == json.loads(json.dumps(config_snapshot(by_hand)))
+    assert summary["config_hash"] == config_hash(config_snapshot(by_hand))
+
+
+def test_config_keys_name_owner_fields_and_match_readme():
+    for key, (_, owner, field) in CONFIG_KEYS.items():
+        assert field in inspect.signature(owner).parameters, (key, owner, field)
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Config file", 1)[1].split("```")[1]
+    assert set(re.findall(r"([\w.]+) = ", block)) == set(CONFIG_KEYS)

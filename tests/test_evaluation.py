@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from ddqn_trader import evaluation
 from ddqn_trader.agent import Agent, AgentConfig, EpsilonSchedule, select_action
 from ddqn_trader.env import Action, CostModel, EnvConfig, TradingEnv
 from ddqn_trader.errors import DataError, NumericsError
@@ -318,6 +320,24 @@ def test_emit_report_byte_stable(tmp_path, frame300):
     emit_report({"M0": result}, costs, second)
     assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
     assert (first / "nav_curves.csv").read_bytes() == (second / "nav_curves.csv").read_bytes()
+
+
+def test_emit_report_failed_write_keeps_previous_files(tmp_path, frame300, monkeypatch):
+    costs = CostModel()
+    emit_report({"M0": run_backtest(make_agent(seed=2), frame300, costs)}, costs, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def open_failing_on_curves(path, *args, **kwargs):
+        if os.path.basename(path).startswith("nav_curves"):
+            raise OSError("no space left on device")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "open", open_failing_on_curves, raising=False)
+    other = run_backtest(make_agent(seed=5), frame300, costs)
+    with pytest.raises(OSError, match="no space"):
+        emit_report({"M0": other}, costs, tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert sorted(before) == ["nav_curves.csv", "report.json"]  # and no *.tmp file
 
 
 def test_report_gross_switch_changes_returns(frame300):

@@ -4,7 +4,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from ddqn_trader.errors import DataError
+from ddqn_trader.errors import ConfigError, DataError
 from ddqn_trader.market_data import (
     ModelId,
     PriceSeries,
@@ -178,6 +178,12 @@ def test_ewma_seed_uses_first_twenty():
 @pytest.mark.parametrize("decay", [0.0, 1.0, -0.5, 1.5])
 def test_ewma_decay_out_of_range(decay):
     with pytest.raises(ValueError, match="decay"):
+        ewma_vol(_returns([0.01]), decay=decay)
+
+
+@pytest.mark.parametrize("decay", [1.5, math.nan])
+def test_ewma_decay_out_of_range_is_config_error(decay):
+    with pytest.raises(ConfigError, match=r"decay must be in \(0, 1\)"):
         ewma_vol(_returns([0.01]), decay=decay)
 
 

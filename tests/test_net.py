@@ -97,6 +97,12 @@ def test_net_config_validation():
         NetConfig(input_dim=2, l2_activity=-1e-6)
 
 
+@pytest.mark.parametrize("l2", [math.nan, math.inf])
+def test_net_config_requires_finite_l2_activity(l2):
+    with pytest.raises(ConfigError, match="l2_activity must be finite and >= 0"):
+        NetConfig(input_dim=2, l2_activity=l2)
+
+
 # ----------------------------------------------------------------- forward
 
 def test_forward_zero_net_outputs_zero():
