@@ -364,7 +364,7 @@ def train_step(agent: Agent) -> float | None:
     targets = frame.targets(agent.online, agent.target, cfg.gamma)
     loss, grads = frame.ws.loss_and_grads(agent.online, frame.actions, targets,
                                           agent._dropout_rng)
-    agent.online, agent.adam = net.adam_step(agent.online, grads, agent.adam, cfg.lr)
+    net.adam_step(agent.online, grads, agent.adam, cfg.lr)
     agent.gradient_steps += 1
     if cfg.target_sync_unit == "steps" and agent.gradient_steps % cfg.target_sync_every == 0:
         sync_target(agent)

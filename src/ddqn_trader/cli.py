@@ -11,6 +11,8 @@ the same ``TrainConfig`` from the train frame it has just made, so it rejects
 whatever ``train`` would. ``evaluate`` builds the ``CostModel`` and checks the
 seed as it loads the checkpoint; without the train frame it cannot check the
 training keys. Every command rejects unknown keys and values that do not parse.
+A command's output files replace the old ones all together or not at all
+(:func:`outputs.write_all`).
 
 Exit codes: 0 ok, 2 config/validation failure, 3 runtime/numeric failure.
 """
@@ -43,6 +45,7 @@ from .market_data import (
     write_frame_csv,
 )
 from .net import NetConfig
+from .outputs import write_all
 from .training import (
     TrainConfig,
     load_checkpoint,
@@ -172,19 +175,6 @@ def _output_paths(out_dir: str, names: list[str], force: bool) -> dict[str, str]
     return paths
 
 
-def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _write_atomic_with(path: str, writer_fn) -> None:
-    tmp = path + ".tmp"
-    writer_fn(tmp)
-    os.replace(tmp, path)
-
-
 def cmd_prepare(args) -> int:
     values = load_config(args)
     model = _value(values, "model")
@@ -204,8 +194,6 @@ def cmd_prepare(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     paths = _output_paths(args.out, ["train_frame.csv", "test_frame.csv", "prepare.json"],
                           args.force)
-    _write_atomic_with(paths["train_frame.csv"], lambda p: write_frame_csv(train_frame, p))
-    _write_atomic_with(paths["test_frame.csv"], lambda p: write_frame_csv(test_frame, p))
     provenance = {
         "model": model.name,
         "ewma_decay": _value(values, "ewma_decay"),
@@ -228,7 +216,11 @@ def cmd_prepare(args) -> int:
             "last_date": test_frame.dates[-1].isoformat(),
         },
     }
-    _write_atomic(paths["prepare.json"], json.dumps(provenance, indent=2, sort_keys=True) + "\n")
+    write_all({
+        paths["train_frame.csv"]: lambda p: write_frame_csv(train_frame, p),
+        paths["test_frame.csv"]: lambda p: write_frame_csv(test_frame, p),
+        paths["prepare.json"]: json.dumps(provenance, indent=2, sort_keys=True) + "\n",
+    })
     print(f"prepared {model.name}: {len(train_frame)} train rows, {len(test_frame)} test rows")
     return 0
 
@@ -246,7 +238,7 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"output exists (use --force to overwrite): {args.out}")
     lines = ["date,close\n"]
     lines += [f"{d.isoformat()},{float(close)!r}\n" for d, close in zip(series.dates, series.closes)]
-    _write_atomic(args.out, "".join(lines))
+    write_all({args.out: "".join(lines)})
     print(f"wrote {len(series)} synthetic closes to {args.out}")
     return 0
 
@@ -261,9 +253,11 @@ def cmd_train(args) -> int:
     started = time.monotonic()
     log, agent = run_training(config)
     wall = time.monotonic() - started
-    _write_atomic_with(paths["train_log.csv"], lambda p: write_log_csv(log, p))
-    _write_atomic_with(paths["train_summary.json"], lambda p: write_summary_json(log, p, wall))
-    _write_atomic_with(paths["checkpoint.json"], lambda p: save_checkpoint(agent, p))
+    write_all({
+        paths["train_log.csv"]: lambda p: write_log_csv(log, p),
+        paths["train_summary.json"]: lambda p: write_summary_json(log, p, wall),
+        paths["checkpoint.json"]: lambda p: save_checkpoint(agent, p),
+    })
     print(
         f"trained {frame.model_id.name}: {len(log.records)} episodes, {log.termination}"
         + (f" at episode {log.early_stop_episode}" if log.early_stop_episode else "")
@@ -323,7 +317,7 @@ def cmd_report(args) -> int:
     ordered = [rows[name] for name in sorted(rows)]
     os.makedirs(args.out, exist_ok=True)
     paths = _output_paths(args.out, ["report.json"], args.force)
-    _write_atomic(paths["report.json"], render_report_json(ordered))
+    write_all({paths["report.json"]: render_report_json(ordered)})
     print(f"merged {len(args.inputs)} reports into {paths['report.json']} ({len(ordered)} rows)")
     return 0
 

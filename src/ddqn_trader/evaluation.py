@@ -17,7 +17,6 @@ calling return signs.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -30,6 +29,7 @@ from .agent import Agent
 from .env import Action, CostModel
 from .errors import DataError, NumericsError
 from .market_data import FeatureFrame
+from .outputs import write_all
 
 # Oracle tie-break preference: Neutral first, then the lower position.
 _TIE_ORDER = (Action.NEUTRAL, Action.SHORT, Action.LONG)
@@ -244,22 +244,15 @@ def emit_report(
     report_path = os.path.join(out_dir, "report.json")
     curves_path = os.path.join(out_dir, "nav_curves.csv")
     report_text = render_report_json(reports)  # raises before any file is written
-    tmps = (report_path + ".tmp", curves_path + ".tmp")
-    try:
-        with open(tmps[0], "w") as fh:
-            fh.write(report_text)
-        with open(tmps[1], "w", newline="") as fh:
+
+    def write_curves(path: str) -> None:
+        with open(path, "w", newline="") as fh:
             fh.write("date,model,nav\n")
             for name, res in items:
                 for d, nav in zip(res.dates, res.agent_nav):
                     fh.write(f"{d.isoformat()},{name},{nav:.6f}\n")
             for d, nav in zip(first.dates, first.market_nav):
                 fh.write(f"{d.isoformat()},market,{nav:.6f}\n")
-    except BaseException:
-        for tmp in tmps:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-        raise
-    os.replace(tmps[0], report_path)
-    os.replace(tmps[1], curves_path)
+
+    write_all({report_path: report_text, curves_path: write_curves})
     return report_path, curves_path

@@ -28,6 +28,7 @@ ANNUALIZATION = math.sqrt(252.0)
 DEFAULT_EWMA_DECAY = 0.94  # RiskMetrics daily convention
 EWMA_SEED_WINDOW = 20
 VALID_HORIZONS = (1, 5)
+FRAME_CSV_BLOCK_ROWS = 512  # rows rendered per write in write_frame_csv
 
 TRADED_ASSET = "spx"
 
@@ -275,10 +276,12 @@ def ewma_vol(returns: ReturnSeries, decay: float, seed_var: float | None = None)
         raise DataError(f"{returns.asset_id}: empty return series")
     sq = returns.values**2
     var_prev = float(np.mean(sq[: min(EWMA_SEED_WINDOW, len(sq))])) if seed_var is None else float(seed_var)
-    var = np.empty(len(sq))
-    for t in range(len(sq)):
-        var_prev = decay * var_prev + (1.0 - decay) * sq[t]
-        var[t] = var_prev
+    # Python floats run the recursion faster than numpy scalars, with the same
+    # IEEE operations in the same order
+    var = []
+    for s in sq.tolist():
+        var_prev = decay * var_prev + (1.0 - decay) * s
+        var.append(var_prev)
     return VolSeries(returns.asset_id, returns.dates, np.sqrt(var), decay)
 
 
@@ -336,23 +339,26 @@ def build_features(
     missing = [r for r in roles if r not in series_by_role]
     if missing:
         raise DataError(f"{model.name}: missing price series for {', '.join(missing)}")
-    column_maps: dict[tuple[str, int], dict[date, float]] = {}
-    target_map: dict[date, float] = {}
+    # each column as (date ordinals, values); the 5-day column starts four rows in
+    column_order = tuple((role, h) for role in roles for h in (1, 5))
+    columns: list[tuple[np.ndarray, np.ndarray]] = []
     for role in roles:
         n1, n5, r1 = _asset_columns(series_by_role[role], decay, horizon_scaled)
-        column_maps[(role, 1)] = dict(zip(n1.dates, n1.values))
-        column_maps[(role, 5)] = dict(zip(n5.dates, n5.values))
+        days = np.array([d.toordinal() for d in r1.dates], dtype=np.int64)
+        columns += [(days, n1.values), (days[4:], n5.values)]
         if role == TRADED_ASSET:
-            target_map = dict(zip(r1.dates, r1.values))
-    column_order = tuple((role, h) for role in roles for h in (1, 5))
-    common = set(target_map)
-    for col in column_order:
-        common &= set(column_maps[col])
-    if not common:
+            target_days, target_values, target_dates = days, r1.values, r1.dates
+    common = target_days
+    for days, _ in columns:
+        common = np.intersect1d(common, days, assume_unique=True)
+    if not len(common):
         raise DataError(f"{model.name}: no overlapping dates across required series")
-    dates = tuple(sorted(common))
-    values = np.array([[column_maps[c][d] for c in column_order] for d in dates])
-    target = np.array([target_map[d] for d in dates])
+    values = np.empty((len(common), len(columns)))
+    for j, (days, column) in enumerate(columns):
+        values[:, j] = column[np.searchsorted(days, common)]
+    rows = np.searchsorted(target_days, common)
+    dates = tuple(target_dates[i] for i in rows.tolist())
+    target = target_values[rows]
     return FeatureFrame(model, dates, column_order, values, target)
 
 
@@ -442,13 +448,22 @@ def synth_generate(
 
 
 def write_frame_csv(frame: FeatureFrame, path) -> None:
-    """Serialize a frame as ``date, f0..f{n-1}, target_return`` with full-precision floats."""
+    """Serialize a frame as ``date, f0..f{n-1}, target_return`` with full-precision floats.
+
+    The bytes are those of ``csv.writer``: rows end in CRLF and every float is
+    its shortest round-trip ``repr``. No field needs quoting, as each one is an
+    ISO date or a float. Rows are rendered column by column, one block of
+    ``FRAME_CSV_BLOCK_ROWS`` at a time.
+    """
+    header = ["date", *(f"f{i}" for i in range(frame.n_features)), "target_return"]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date"] + [f"f{i}" for i in range(frame.n_features)] + ["target_return"])
-        rows = zip(frame.dates, frame.values.tolist(), frame.target_returns.tolist())
-        for d, values, target in rows:
-            writer.writerow([d.isoformat()] + [repr(v) for v in values] + [repr(target)])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(frame), FRAME_CSV_BLOCK_ROWS):
+            stop = start + FRAME_CSV_BLOCK_ROWS
+            cells = [map(date.isoformat, frame.dates[start:stop])]
+            cells += [map(repr, column) for column in frame.values[start:stop].T.tolist()]
+            cells.append(map(repr, frame.target_returns[start:stop].tolist()))
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def read_frame_csv(path, model_id: ModelId | int = ModelId.M0) -> FeatureFrame:

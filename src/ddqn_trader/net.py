@@ -32,6 +32,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Rows per layers-1–2 block of an eval forward. OpenBLAS runs products this
+# small on one thread, whose speed does not depend on where the operands sit in
+# memory; the output layer still runs once over all rows, since a row of the
+# 3-wide product can round differently at another row count.
+EVAL_BLOCK_ROWS = 128
+
 
 @dataclass(frozen=True)
 class NetConfig:
@@ -309,7 +315,8 @@ def forward(
 ) -> tuple[np.ndarray, Workspace | None]:
     """Q-values for a batch of states, shape [batch, 3].
 
-    Eval mode is deterministic (no dropout, no cache). Train mode samples a
+    Eval mode is deterministic (no dropout, no cache) and runs layers 1–2 in
+    blocks of ``EVAL_BLOCK_ROWS`` rows. Train mode samples a
     fresh inverted-dropout mask over the second hidden layer and returns the
     fresh workspace holding its activations (``.mask`` is the mask).
     """
@@ -317,7 +324,15 @@ def forward(
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     states = _as_states(states, config)
     if mode == "eval":
-        a2, _ = hidden(params, states)
+        n = len(states)
+        a1 = np.empty((min(n, EVAL_BLOCK_ROWS + 1), config.hidden_dims[0]))
+        a2 = np.empty((n, config.hidden_dims[1]))
+        # a 1-row product takes another BLAS path and can round differently,
+        # so a last block of one row joins the block before it
+        start = 0
+        for stop in [*range(EVAL_BLOCK_ROWS, n - 1, EVAL_BLOCK_ROWS), n]:
+            hidden(params, states[start:stop], a1[: stop - start], a2[start:stop])
+            start = stop
         return head(params, a2), None
     ws = Workspace(config, len(states))
     ws.hidden(params, states)
@@ -354,17 +369,32 @@ def loss_and_grads(
 def adam_step(
     params: NetParams, grads: NetParams, state: AdamState, lr: float
 ) -> tuple[NetParams, AdamState]:
-    """One bias-corrected Adam update on the flat vectors; returns fresh params
-    and state and leaves its inputs untouched."""
-    t = state.t + 1
+    """One bias-corrected Adam update on the flat vectors, in place: it writes
+    ``params.flat``, ``state.m``, ``state.v`` and ``state.t`` and returns
+    ``params`` and ``state``."""
+    state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
-    g = grads.flat
-    m = b1 * state.m + (1.0 - b1) * g
-    v = b2 * state.v + (1.0 - b2) * g**2
-    flat = params.flat - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    return NetParams.from_flat(flat, params.shapes), AdamState(m, v, t=t)
+    c1 = 1.0 - b1**state.t
+    c2 = 1.0 - b2**state.t
+    # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2 and
+    # flat -= lr*(m/c1) / (sqrt(v/c2) + eps), one rounding at a time in the
+    # order the formula implies, so the result matches it bit for bit
+    g, m, v = grads.flat, state.m, state.v
+    step = np.multiply(g, 1.0 - b1)
+    m *= b1
+    m += step
+    denom = np.square(g)
+    denom *= 1.0 - b2
+    v *= b2
+    v += denom
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, c1, out=step)
+    step *= lr
+    step /= denom
+    params.flat -= step
+    return params, state
 
 
 def params_to_dict(params: NetParams) -> dict:

@@ -89,6 +89,26 @@ def test_prepare_deterministic(workspace):
     assert (out1 / "prepare.json").read_bytes() == (out2 / "prepare.json").read_bytes()
 
 
+def test_prepare_failed_write_replaces_nothing(workspace, capsys):
+    tmp_path, config = workspace
+    out = tmp_path / "prep"
+    assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    changed = tmp_path / "decay.conf"
+    changed.write_text(config.read_text() + "ewma_decay = 0.9\n")
+    (out / "prepare.json.tmp").mkdir()  # its write fails after both frames are written
+    code = main(["prepare", "--config", str(changed), "--out", str(out), "--force"])
+    assert code == 3
+    assert "prepare.json.tmp" in capsys.readouterr().err
+    after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert after == before  # old frames, old provenance, and no temp file
+    assert sorted(p.name for p in out.iterdir()) == sorted([*before, "prepare.json.tmp"])
+    (out / "prepare.json.tmp").rmdir()
+    assert main(["prepare", "--config", str(changed), "--out", str(out), "--force"]) == 0
+    assert json.loads((out / "prepare.json").read_text())["ewma_decay"] == 0.9
+    assert (out / "train_frame.csv").read_bytes() != before["train_frame.csv"]
+
+
 def test_prepare_missing_asset_named(workspace):
     tmp_path, config = workspace
     out = tmp_path / "prep3"

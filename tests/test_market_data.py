@@ -1,3 +1,4 @@
+import csv
 import math
 from datetime import date
 
@@ -6,11 +7,14 @@ import pytest
 
 from ddqn_trader.errors import ConfigError, DataError
 from ddqn_trader.market_data import (
+    FRAME_CSV_BLOCK_ROWS,
+    FeatureFrame,
     ModelId,
     PriceSeries,
     ReturnSeries,
     SplitSpec,
     VolSeries,
+    _asset_columns,
     build_features,
     ewma_vol,
     load_csv,
@@ -189,6 +193,17 @@ def test_ewma_decay_out_of_range_is_config_error(decay):
 
 # --------------------------------------------------------------- normalize
 
+def test_ewma_equals_numpy_scalar_recursion():
+    returns = _returns(np.random.default_rng(5).normal(scale=0.01, size=5000))
+    sq = returns.values**2
+    var_prev = float(np.mean(sq[:20]))
+    var = np.empty(len(sq))
+    for t in range(len(sq)):
+        var_prev = 0.94 * var_prev + (1.0 - 0.94) * sq[t]
+        var[t] = var_prev
+    assert ewma_vol(returns, 0.94).sigma.tobytes() == np.sqrt(var).tobytes()
+
+
 def _vol(sigmas, start=date(2020, 1, 6), decay=0.94):
     return VolSeries("spx", weekdays(start, len(sigmas)), np.asarray(sigmas, dtype=float), decay)
 
@@ -303,6 +318,79 @@ def test_build_features_horizon_scaled_option():
     assert np.allclose(scaled.values[:, 1], default.values[:, 1] * ratio, rtol=1e-12)
 
 
+def dict_join_reference(model, series_by_role, decay=0.94, horizon_scaled=False):
+    """build_features as a join of one date -> value dict per column."""
+    model = ModelId(model)
+    roles = ("spx", "russell", "wti", "gold")[: int(model) + 1]
+    column_maps, target_map = {}, {}
+    for role in roles:
+        n1, n5, r1 = _asset_columns(series_by_role[role], decay, horizon_scaled)
+        column_maps[(role, 1)] = dict(zip(n1.dates, n1.values))
+        column_maps[(role, 5)] = dict(zip(n5.dates, n5.values))
+        if role == "spx":
+            target_map = dict(zip(r1.dates, r1.values))
+    column_order = tuple((role, h) for role in roles for h in (1, 5))
+    common = set(target_map)
+    for col in column_order:
+        common &= set(column_maps[col])
+    dates = tuple(sorted(common))
+    values = np.array([[column_maps[c][d] for c in column_order] for d in dates])
+    target = np.array([target_map[d] for d in dates])
+    return FeatureFrame(model, dates, column_order, values, target)
+
+
+def drop_rows(series, rows):
+    keep = [i for i in range(len(series)) if i not in set(rows)]
+    return PriceSeries(series.asset_id, tuple(series.dates[i] for i in keep), series.closes[keep])
+
+
+def _companion_missing_date(series):
+    series["russell"] = drop_rows(series["russell"], [60])
+
+
+def _traded_missing_date(series):
+    series["spx"] = drop_rows(series["spx"], [3, 70])
+
+
+def _companion_inside_traded(series):
+    gold = series["gold"]
+    series["gold"] = PriceSeries("gold", gold.dates[10:-7], gold.closes[10:-7])
+
+
+@pytest.mark.parametrize("horizon_scaled", [False, True])
+@pytest.mark.parametrize("edit", [None, _companion_missing_date, _traded_missing_date,
+                                  _companion_inside_traded])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_build_features_equals_dict_join_reference(model, edit, horizon_scaled):
+    series = synth_map(n=150)
+    if edit is not None:
+        edit(series)
+    frame = build_features(model, series, horizon_scaled=horizon_scaled)
+    ref = dict_join_reference(model, series, horizon_scaled=horizon_scaled)
+    assert frame.dates == ref.dates
+    assert frame.columns == ref.columns
+    assert frame.values.tobytes() == ref.values.tobytes()
+    assert frame.target_returns.tobytes() == ref.target_returns.tobytes()
+
+
+def test_build_features_companion_window_bounds_the_frame():
+    series = synth_map(n=150)
+    _companion_inside_traded(series)
+    frame = build_features(ModelId.M3, series)
+    gold = series["gold"]
+    assert frame.dates[0] == gold.dates[5]  # the first 5-day gold return
+    assert frame.dates[-1] == gold.dates[-1]
+
+
+def test_build_features_no_overlapping_dates():
+    series = synth_map(n=40)
+    spx = series["spx"]
+    series["russell"] = synth_generate(0.0, 0.01, 40, 3, asset_id="russell",
+                                       start=spx.dates[-1])
+    with pytest.raises(DataError, match="M1: no overlapping dates"):
+        build_features(ModelId.M1, series)
+
+
 # ------------------------------------------------------------------- split
 
 def test_split_partitions_by_count():
@@ -401,6 +489,35 @@ def test_frame_csv_round_trip(tmp_path):
     assert loaded.columns == frame.columns
     assert np.array_equal(loaded.values, frame.values)  # repr round-trip is exact
     assert np.array_equal(loaded.target_returns, frame.target_returns)
+
+
+def csv_writer_reference(frame, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date"] + [f"f{i}" for i in range(frame.n_features)] + ["target_return"])
+        rows = zip(frame.dates, frame.values.tolist(), frame.target_returns.tolist())
+        for d, values, target in rows:
+            writer.writerow([d.isoformat()] + [repr(v) for v in values] + [repr(target)])
+
+
+@pytest.mark.parametrize("rows", [1, FRAME_CSV_BLOCK_ROWS - 1, FRAME_CSV_BLOCK_ROWS,
+                                  FRAME_CSV_BLOCK_ROWS + 1])
+def test_write_frame_csv_bytes_equal_csv_writer(tmp_path, rows):
+    edge = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -1.5e-300, 123456.789]
+    cells = np.resize(np.array(edge), rows * 5).reshape(rows, 5)
+    frame = FeatureFrame(ModelId.M1, weekdays(date(2020, 1, 6), rows),
+                         (("spx", 1), ("spx", 5), ("russell", 1), ("russell", 5)),
+                         cells[:, :4], cells[:, 4] * -1.0)
+    write_frame_csv(frame, tmp_path / "fast.csv")
+    csv_writer_reference(frame, tmp_path / "ref.csv")
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "ref.csv").read_bytes()
+    assert fast.count(b"\r\n") == rows + 1 and b"\n" not in fast.replace(b"\r\n", b"")
+    for text in (b"-0.0", b"5e-324", b"1e-05", b"1e+16", b"0.30000000000000004"):
+        assert text in fast
+    loaded = read_frame_csv(tmp_path / "fast.csv", ModelId.M1)
+    assert loaded.values.tobytes() == frame.values.tobytes()
+    assert loaded.target_returns.tobytes() == frame.target_returns.tobytes()
 
 
 def test_frame_csv_rereads_deterministically(tmp_path):

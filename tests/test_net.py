@@ -5,10 +5,13 @@ import pytest
 
 from ddqn_trader.errors import ConfigError, NumericsError
 from ddqn_trader.net import (
+    EVAL_BLOCK_ROWS,
     NetConfig,
     NetParams,
     adam_step,
     forward,
+    head,
+    hidden,
     init_adam,
     init_params,
     loss_and_grads,
@@ -119,6 +122,20 @@ def test_forward_eval_deterministic():
     q1, _ = forward(params, x, config, mode="eval")
     q2, _ = forward(params, x, config, mode="eval")
     assert np.array_equal(q1, q2)
+
+
+@pytest.mark.parametrize("input_dim", [2, 4, 6, 8])
+def test_forward_eval_blocks_equal_one_pass(input_dim):
+    # layers 1-2 run in blocks; their rows must not depend on the row count
+    config = NetConfig(input_dim=input_dim, seed=input_dim)
+    params = init_params(config)
+    rng = np.random.default_rng(input_dim)
+    for rows in (0, 1, 2, EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS + 1,
+                 EVAL_BLOCK_ROWS + 2, 2 * EVAL_BLOCK_ROWS + 1, 749, 1000):
+        states = rng.normal(size=(rows, input_dim))
+        q, _ = forward(params, states, config)
+        a2, _ = hidden(params, states)
+        assert q.tobytes() == head(params, a2).tobytes()
 
 
 def test_forward_eval_empty_batch():
@@ -284,11 +301,26 @@ def test_loss_mean_reduction_batch_invariant():
 def test_adam_zero_grads_fixed_point():
     config = NetConfig(input_dim=2, seed=0)
     params = init_params(config)
+    before = params.flat.copy()
+    _, state = adam_step(params, zero_params(config), init_adam(config), lr=1e-3)
+    assert np.array_equal(params.flat, before)
+    assert state.t == 1
+
+
+def test_adam_updates_its_inputs_in_place():
+    config = NetConfig(input_dim=2, seed=0)
+    params = init_params(config)
+    flat, before = params.flat, params.flat.copy()
     state = init_adam(config)
-    new_params, new_state = adam_step(params, zero_params(config), state, lr=1e-3)
-    for old, new in zip(params.weights, new_params.weights):
-        assert np.array_equal(old, new)
-    assert new_state.t == 1 and state.t == 0
+    m, v = state.m, state.v
+    grads = NetParams.from_flat(np.full(param_count(config), 0.5), config.layer_shapes)
+    new_params, new_state = adam_step(params, grads, state, lr=1e-3)
+    assert new_params is params and new_state is state
+    assert params.flat is flat and state.m is m and state.v is v
+    assert state.t == 1
+    assert np.all(m == (1.0 - 0.9) * 0.5) and np.all(v > 0.0)
+    assert np.all(params.flat < before)
+    assert np.array_equal(params.weights[0].ravel(), flat[: params.weights[0].size])
 
 
 def test_adam_first_step_closed_form():
