@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import re
 import sys
@@ -290,27 +291,59 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+# report.json field -> what its value must be
+REPORT_FIELDS = {
+    "model": "a string",
+    "e_r": "a finite number",
+    "std_r": "a finite number",
+    "sharpe": "a finite number or null",
+    "mse": "a finite number",
+    "accuracy": "a finite number",
+    "n_days": "an integer",
+}
+
+
+def _report_row(path: str, i: int, row: dict) -> PerformanceReport:
+    """Row ``i`` of a report.json as a PerformanceReport, each field's type
+    checked, since ``render_report_json`` writes the values as they are."""
+    values = {}
+    for field, expected in REPORT_FIELDS.items():
+        if field not in row:
+            raise DataError(f"{path}: row {i} lacks field {field!r}")
+        value = row[field]
+        if field == "model":
+            ok = isinstance(value, str)
+        elif field == "n_days":
+            ok = type(value) is int  # not a bool
+        elif value is None:
+            ok = field == "sharpe"
+        else:
+            try:
+                ok = type(value) in (int, float) and math.isfinite(value)
+            except OverflowError:  # an integer beyond the float range
+                ok = False
+        if not ok:
+            shown = json.dumps(value)
+            shown = shown if len(shown) <= 40 else shown[:37] + "..."
+            raise DataError(f"{path}: row {i} field {field!r} must be {expected}, got {shown}")
+        values[field] = value
+    return PerformanceReport(**values)
+
+
 def cmd_report(args) -> int:
     rows: dict[str, PerformanceReport] = {}
     for path in args.inputs:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or text encoding
             raise DataError(f"cannot read report {path}: {exc}") from exc
         if not isinstance(data, list):
             raise DataError(f"{path}: expected a list of report rows, got {type(data).__name__}")
         for i, row in enumerate(data):
             if not isinstance(row, dict):
                 raise DataError(f"{path}: row {i} is not an object")
-            try:
-                report = PerformanceReport(
-                    model=row["model"], e_r=row["e_r"], std_r=row["std_r"],
-                    sharpe=row["sharpe"], mse=row["mse"], accuracy=row["accuracy"],
-                    n_days=row["n_days"],
-                )
-            except KeyError as exc:
-                raise DataError(f"{path}: row {i} lacks field {exc}") from None
+            report = _report_row(path, i, row)
             rows.setdefault(report.model, report)
     if not rows:
         raise DataError("no report rows found in inputs")

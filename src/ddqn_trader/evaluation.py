@@ -31,10 +31,6 @@ from .errors import DataError, NumericsError
 from .market_data import FeatureFrame
 from .outputs import write_all
 
-# Oracle tie-break preference: Neutral first, then the lower position.
-_TIE_ORDER = (Action.NEUTRAL, Action.SHORT, Action.LONG)
-
-
 @dataclass(frozen=True)
 class BacktestResult:
     dates: tuple
@@ -121,37 +117,66 @@ def oracle_actions(returns: np.ndarray, costs: CostModel) -> np.ndarray:
     ``returns[k]`` is the market return paid to the action taken at step k.
     Backward value iteration over the previous-position state, starting
     Neutral; ties prefer Neutral, then Short.
+
+    Each stage is written out for its three previous positions times three
+    actions. Every total is ``r * pos - cost + value`` in that order, and the
+    best is kept by a strict ``>`` against a running best that starts at
+    -inf, trying Neutral, then Short, then Long: a NaN total is never kept,
+    and a previous position whose totals are all NaN or -inf gets Neutral.
     """
     # Python floats: the same IEEE double arithmetic as numpy scalars, far
-    # less overhead per operation in this 3 x 3 inner loop
+    # less overhead per operation
     returns = np.asarray(returns, dtype=np.float64).tolist()
     tc, kc = float(costs.trading_cost), float(costs.time_cost)
-    options = [(int(action), action.position) for action in _TIE_ORDER]
-    # value[p+1] = best achievable total reward from stage k onward given
-    # previous position p; choices[k][p+1] = the action that attains it
-    value = [0.0, 0.0, 0.0]
+    tc1, tc2 = 1 * tc, 2 * tc  # the cost of a one- and a two-unit trade
+    neg_inf = -math.inf
+    # v_short, v_neutral, v_long = best achievable total reward from stage k
+    # onward given that previous position; choices[k] = the action codes
+    # (0 Short, 1 Neutral, 2 Long) attaining them, as (after Short, after
+    # Neutral, after Long)
+    v_short = v_neutral = v_long = 0.0
     choices = []
     for r in reversed(returns):
-        new_value, choice = [], []
-        for p_prev in (-1, 0, 1):
-            best = -math.inf
-            best_action = int(Action.NEUTRAL)
-            for action, pos in options:
-                trades = abs(pos - p_prev)
-                cost = trades * tc if trades else kc
-                total = r * pos - cost + value[pos + 1]
-                if total > best:
-                    best = total
-                    best_action = action
-            new_value.append(best)
-            choice.append(best_action)
-        value = new_value
-        choices.append(choice)
+        gain_neutral, gain_short, gain_long = r * 0, r * -1, r * 1
+        # Neutral: one trade away from Short and from Long, held from Neutral
+        neutral_traded = gain_neutral - tc1 + v_neutral
+        if not neutral_traded > neg_inf:
+            neutral_traded = neg_inf
+        neutral_held = gain_neutral - kc + v_neutral
+        if not neutral_held > neg_inf:
+            neutral_held = neg_inf
+        # previous position Short
+        after_short, a_short = neutral_traded, 1
+        total = gain_short - kc + v_short
+        if total > after_short:
+            after_short, a_short = total, 0
+        total = gain_long - tc2 + v_long
+        if total > after_short:
+            after_short, a_short = total, 2
+        # previous position Neutral
+        after_neutral, a_neutral = neutral_held, 1
+        total = gain_short - tc1 + v_short
+        if total > after_neutral:
+            after_neutral, a_neutral = total, 0
+        total = gain_long - tc1 + v_long
+        if total > after_neutral:
+            after_neutral, a_neutral = total, 2
+        # previous position Long
+        after_long, a_long = neutral_traded, 1
+        total = gain_short - tc2 + v_short
+        if total > after_long:
+            after_long, a_long = total, 0
+        total = gain_long - kc + v_long
+        if total > after_long:
+            after_long, a_long = total, 2
+        v_short, v_neutral, v_long = after_short, after_neutral, after_long
+        choices.append((a_short, a_neutral, a_long))
+    # an action's code is its position + 1, the index of its own entry
     actions = []
-    pos = 0
+    action = int(Action.NEUTRAL)
     for choice in reversed(choices):
-        actions.append(choice[pos + 1])
-        pos = actions[-1] - 1
+        action = choice[action]
+        actions.append(action)
     return np.array(actions, dtype=np.int64)
 
 
@@ -246,13 +271,13 @@ def emit_report(
     report_text = render_report_json(reports)  # raises before any file is written
 
     def write_curves(path: str) -> None:
+        days = [d.isoformat() for d in first.dates]  # every result has these dates
+        curves = [(name, res.agent_nav) for name, res in items] + [("market", first.market_nav)]
+        lines = ["date,model,nav\n"]
+        for name, navs in curves:
+            lines += [f"{day},{name},{nav:.6f}\n" for day, nav in zip(days, navs.tolist())]
         with open(path, "w", newline="") as fh:
-            fh.write("date,model,nav\n")
-            for name, res in items:
-                for d, nav in zip(res.dates, res.agent_nav):
-                    fh.write(f"{d.isoformat()},{name},{nav:.6f}\n")
-            for d, nav in zip(first.dates, first.market_nav):
-                fh.write(f"{d.isoformat()},market,{nav:.6f}\n")
+            fh.write("".join(lines))
 
     write_all({report_path: report_text, curves_path: write_curves})
     return report_path, curves_path

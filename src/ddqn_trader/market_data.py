@@ -15,6 +15,7 @@ environment pays rewards with.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -470,7 +471,9 @@ def read_frame_csv(path, model_id: ModelId | int = ModelId.M0) -> FeatureFrame:
     """Read a frame written by :func:`write_frame_csv`.
 
     Column identities are reconstructed from the model's fixed role/horizon
-    layout, so the width in the file must match the model.
+    layout, so the width in the file must match the model. Cells are converted
+    column by column; a bad cell is reported for the first bad line in file
+    order, as a line-by-line read would.
     """
     model = ModelId(model_id)
     try:
@@ -490,21 +493,36 @@ def read_frame_csv(path, model_id: ModelId | int = ModelId.M0) -> FeatureFrame:
             raise DataError(
                 f"{path}: {n_feat} feature columns but {model.name} expects {model.n_features}"
             )
-        dates, rows, targets = [], [], []
+        rows, line_nums = [], []
+        width_error = None  # raised once the rows before it are known to parse
         for raw in reader:
             if not raw:
                 continue
             if len(raw) != len(header):
-                raise DataError(
+                width_error = DataError(
                     f"{path}: line {reader.line_num}: {len(raw)} cells, header has {len(header)}"
                 )
-            try:
-                dates.append(date.fromisoformat(raw[0]))
-                rows.append([float(v) for v in raw[1:-1]])
-                targets.append(float(raw[-1]))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not dates:
+                break
+            rows.append(raw)
+            line_nums.append(reader.line_num)
+    if rows:
+        by_column = list(zip(*rows))
+        try:
+            dates = tuple(map(date.fromisoformat, by_column[0]))
+            # column-major: feature 0 of every row, ..., then the targets
+            cells = np.array(list(map(float, itertools.chain.from_iterable(by_column[1:]))))
+            cells = cells.reshape(n_feat + 1, len(rows))
+        except ValueError:
+            for line_num, raw in zip(line_nums, rows):
+                try:
+                    date.fromisoformat(raw[0])
+                    list(map(float, raw[1:]))
+                except ValueError as exc:
+                    raise DataError(f"{path}: line {line_num}: {exc}") from None
+            raise
+    if width_error is not None:
+        raise width_error
+    if not rows:
         raise DataError(f"{path}: no data rows")
     columns = tuple((role, h) for role in MODEL_ROLES[model] for h in (1, 5))
-    return FeatureFrame(model, tuple(dates), columns, np.array(rows), np.array(targets))
+    return FeatureFrame(model, dates, columns, cells[:-1].T, cells[-1])

@@ -246,6 +246,50 @@ def test_report_malformed_input_exit_code(tmp_path, capsys, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+GOOD_ROW = {"model": "M0", "e_r": 0.1, "std_r": 0.2, "sharpe": 0.5, "mse": 1.0,
+            "accuracy": 0.5, "n_days": 10}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_days", "ten"),  # was written bare, as invalid JSON
+    ("model", 7),  # was written unquoted
+    ("sharpe", True),  # was written as 1.000000
+    ("e_r", "abc"),  # was a TypeError traceback
+    ("n_days", True),
+    ("n_days", 10.0),
+    ("mse", None),
+    ("accuracy", [0.5]),
+    ("std_r", float("nan")),
+    ("e_r", float("-inf")),
+    pytest.param("e_r", 10**400, id="e_r-huge-int"),
+])
+def test_report_badly_typed_field_exit_code(tmp_path, capsys, field, value):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps([GOOD_ROW, {**GOOD_ROW, "model": "M1", field: value}]))
+    out = tmp_path / "merged"
+    assert main(["report", "--out", str(out), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: row 1 field '{field}' must be ")
+    assert err.count("\n") == 1
+    assert not (out / "report.json").exists()
+
+
+def test_report_undecodable_input_exit_code(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"\xff\xfe[")  # was a UnicodeDecodeError traceback
+    assert main(["report", "--out", str(tmp_path / "merged"), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read report {path}: ") and err.count("\n") == 1
+
+
+def test_report_accepts_integer_metrics_and_null_sharpe(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps([{**GOOD_ROW, "e_r": 2, "sharpe": None}]))
+    assert main(["report", "--out", str(tmp_path / "merged"), str(path)]) == 0
+    text = (tmp_path / "merged" / "report.json").read_text()
+    assert '"e_r": 2.000000' in text and '"sharpe": null' in text
+
+
 def test_evaluate_non_numeric_frame_cell_exit_code(workspace, capsys):
     tmp_path, config = workspace
     prep, run = tmp_path / "prep", tmp_path / "run"

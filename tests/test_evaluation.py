@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -6,7 +7,7 @@ import pytest
 
 from ddqn_trader import evaluation
 from ddqn_trader.agent import Agent, AgentConfig, EpsilonSchedule, select_action
-from ddqn_trader.env import Action, CostModel, EnvConfig, TradingEnv
+from ddqn_trader.env import COST_PRESETS, Action, CostModel, EnvConfig, TradingEnv
 from ddqn_trader.errors import DataError, NumericsError
 from ddqn_trader.evaluation import (
     PerformanceReport,
@@ -252,6 +253,62 @@ def test_oracle_matches_enumeration(seed):
     assert dp_total == best_total
 
 
+def oracle_reference(returns, costs):
+    """The oracle DP as a plain triple loop over stages, previous positions and
+    actions; ties go to the first action tried (Neutral, Short, Long)."""
+    tc, kc = float(costs.trading_cost), float(costs.time_cost)
+    value = [0.0, 0.0, 0.0]  # indexed by previous position + 1
+    choices = []
+    for r in reversed(np.asarray(returns, dtype=np.float64).tolist()):
+        new_value, choice = [], []
+        for p_prev in (-1, 0, 1):
+            best, best_action = -math.inf, int(Action.NEUTRAL)
+            for action in (Action.NEUTRAL, Action.SHORT, Action.LONG):
+                pos = action.position
+                trades = abs(pos - p_prev)
+                cost = trades * tc if trades else kc
+                total = r * pos - cost + value[pos + 1]
+                if total > best:
+                    best, best_action = total, int(action)
+            new_value.append(best)
+            choice.append(best_action)
+        value = new_value
+        choices.append(choice)
+    actions, pos = [], 0
+    for choice in reversed(choices):
+        actions.append(choice[pos + 1])
+        pos = actions[-1] - 1
+    return np.array(actions, dtype=np.int64)
+
+
+def random_oracle_case(rng, kind):
+    n = int(rng.integers(1, 60))
+    returns = rng.normal(0, 0.01, size=n)
+    if kind == "rounded":  # many exact ties between totals
+        returns = np.round(returns, 3)
+    elif kind == "zeros":
+        returns[rng.random(n) < 0.5] = rng.choice([0.0, -0.0])
+    elif kind == "special":
+        mask = rng.random(n) < 0.3
+        returns[mask] = rng.choice([math.inf, -math.inf, math.nan, -0.0, 0.0, 1e308, -1e308],
+                                   size=int(mask.sum()))
+    elif kind == "grid":
+        returns = rng.choice([0.0, 1e-5, -1e-5, 1e-4, -1e-4, 2e-4, -2e-4, math.nan], size=n)
+    return returns
+
+
+@pytest.mark.parametrize("costs", [*COST_PRESETS.values(), CostModel(0.0, 0.0),
+                                   CostModel(2e-4, 0.0), CostModel(0.0, 1e-4)],
+                         ids=[*COST_PRESETS, "zero", "trade-only", "time-only"])
+@pytest.mark.parametrize("kind", ["normal", "rounded", "zeros", "special", "grid"])
+def test_oracle_equals_triple_loop_reference(costs, kind):
+    rng = np.random.default_rng([len(kind), int(costs.trading_cost * 1e6),
+                                 int(costs.time_cost * 1e6)])
+    for _ in range(70):
+        returns = random_oracle_case(rng, kind)
+        assert oracle_actions(returns, costs).tolist() == oracle_reference(returns, costs).tolist()
+
+
 def test_oracle_position_changes_monotone_in_cost():
     rng = np.random.default_rng(44)
     for _ in range(10):
@@ -320,6 +377,41 @@ def test_emit_report_byte_stable(tmp_path, frame300):
     emit_report({"M0": result}, costs, second)
     assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
     assert (first / "nav_curves.csv").read_bytes() == (second / "nav_curves.csv").read_bytes()
+
+
+def nav_curves_reference(results, path):
+    """nav_curves.csv written one line at a time, as each result's own dates
+    and NAVs formatted in turn."""
+    items = sorted(results.items())
+    with open(path, "w", newline="") as fh:
+        fh.write("date,model,nav\n")
+        for name, res in items:
+            for d, nav in zip(res.dates, res.agent_nav):
+                fh.write(f"{d.isoformat()},{name},{nav:.6f}\n")
+        first = items[0][1]
+        for d, nav in zip(first.dates, first.market_nav):
+            fh.write(f"{d.isoformat()},market,{nav:.6f}\n")
+
+
+def test_emit_report_nav_curves_equal_line_by_line_writer(tmp_path, frame300):
+    costs = CostModel()
+    edge = np.array([-0.0, 1e-7, -1e-7, 5e-7, -5e-7, 0.5e-6, 2.5e-6, 123456789.123456789,
+                     -9.87654321e12, 1e16, 0.1 + 0.2])
+    results = {}
+    for name, seed in (("M1", 4), ("M0", 3)):
+        result = run_backtest(make_agent(seed=seed), frame300, costs)
+        nav = result.agent_nav.copy()
+        nav[seed::5][:len(edge)] = edge[:len(nav[seed::5])]
+        results[name] = dataclasses.replace(result, agent_nav=nav)
+    market = results["M0"].market_nav.copy()
+    market[:len(edge)] = edge[::-1]
+    results["M0"] = dataclasses.replace(results["M0"], market_nav=market)
+    emit_report(results, costs, tmp_path)
+    nav_curves_reference(results, tmp_path / "ref.csv")
+    written = (tmp_path / "nav_curves.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    for text in (b",M0,-0.000000\n", b",M1,0.000000\n", b",market,10000000000000000.000000\n"):
+        assert text in written
 
 
 def test_emit_report_failed_write_keeps_previous_files(tmp_path, frame300, monkeypatch):

@@ -491,6 +491,14 @@ def test_frame_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.target_returns, frame.target_returns)
 
 
+def edge_frame(rows):
+    edge = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -1.5e-300, 123456.789]
+    cells = np.resize(np.array(edge), rows * 5).reshape(rows, 5)
+    return FeatureFrame(ModelId.M1, weekdays(date(2020, 1, 6), rows),
+                        (("spx", 1), ("spx", 5), ("russell", 1), ("russell", 5)),
+                        cells[:, :4], cells[:, 4] * -1.0)
+
+
 def csv_writer_reference(frame, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -503,11 +511,7 @@ def csv_writer_reference(frame, path):
 @pytest.mark.parametrize("rows", [1, FRAME_CSV_BLOCK_ROWS - 1, FRAME_CSV_BLOCK_ROWS,
                                   FRAME_CSV_BLOCK_ROWS + 1])
 def test_write_frame_csv_bytes_equal_csv_writer(tmp_path, rows):
-    edge = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -1.5e-300, 123456.789]
-    cells = np.resize(np.array(edge), rows * 5).reshape(rows, 5)
-    frame = FeatureFrame(ModelId.M1, weekdays(date(2020, 1, 6), rows),
-                         (("spx", 1), ("spx", 5), ("russell", 1), ("russell", 5)),
-                         cells[:, :4], cells[:, 4] * -1.0)
+    frame = edge_frame(rows)
     write_frame_csv(frame, tmp_path / "fast.csv")
     csv_writer_reference(frame, tmp_path / "ref.csv")
     fast = (tmp_path / "fast.csv").read_bytes()
@@ -518,6 +522,51 @@ def test_write_frame_csv_bytes_equal_csv_writer(tmp_path, rows):
     loaded = read_frame_csv(tmp_path / "fast.csv", ModelId.M1)
     assert loaded.values.tobytes() == frame.values.tobytes()
     assert loaded.target_returns.tobytes() == frame.target_returns.tobytes()
+
+
+def test_read_frame_csv_round_trip_with_blank_lines(tmp_path):
+    frame = edge_frame(23)
+    path = tmp_path / "frame.csv"
+    write_frame_csv(frame, path)
+    lines = path.read_bytes().split(b"\r\n")
+    for at in (len(lines) - 1, 9, 4, 1):  # after the last row, between rows, after the header
+        lines.insert(at, b"")
+    path.write_bytes(b"\r\n".join(lines))
+    loaded = read_frame_csv(path, ModelId.M1)
+    assert loaded.dates == frame.dates
+    assert loaded.values.tobytes() == frame.values.tobytes()
+    assert loaded.target_returns.tobytes() == frame.target_returns.tobytes()
+    assert loaded.values.flags.c_contiguous and loaded.target_returns.shape == (23,)
+
+
+def rewrite_lines(path, edits):
+    """Replace cells of a frame CSV: ``edits`` maps (line number, cell index) to text."""
+    lines = path.read_text().splitlines()
+    for (line_num, cell), text in edits.items():
+        cells = lines[line_num - 1].split(",")
+        cells[cell] = text
+        lines[line_num - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edits, message", [
+    # the first bad line in file order wins, whatever its column
+    ({(3, 2): "x1", (5, 0): "2020-13-01"}, r"line 3: could not convert string to float: 'x1'"),
+    ({(3, 0): "someday", (5, 1): "x2"}, r"line 3: Invalid isoformat string: 'someday'"),
+    # within a line, cells are read left to right
+    ({(4, 3): "x3", (4, 1): "x4"}, r"line 4: could not convert string to float: 'x4'"),
+    ({(4, 3): "x5", (4, 0): "never"}, r"line 4: Invalid isoformat string: 'never'"),
+    # a bad cell before a short line is reported, and a short line before a bad cell
+    ({(3, 1): "x6", (6, 1): "1,2"}, r"line 3: could not convert string to float: 'x6'"),
+    ({(3, 1): "1,2", (6, 1): "x7"}, r"line 3: 5 cells, header has 4"),
+])
+def test_read_frame_csv_reports_first_bad_line(tmp_path, edits, message):
+    frame = build_features(ModelId.M0, synth_map())
+    path = tmp_path / "frame.csv"
+    write_frame_csv(frame, path)
+    rewrite_lines(path, edits)
+    with pytest.raises(DataError, match=r"frame\.csv: " + message + "$"):
+        read_frame_csv(path, ModelId.M0)
 
 
 def test_frame_csv_rereads_deterministically(tmp_path):

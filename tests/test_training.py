@@ -243,6 +243,17 @@ def test_checkpoint_round_trip(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_checkpoint_bytes_equal_streaming_json_dump(tmp_path):
+    _, agent = run_training(small_config(trend_frame(sigma=0.01), episodes=2, seed=3))
+    agent.online.flat[:4] = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
+    path = tmp_path / "agent.json"
+    save_checkpoint(agent, path)
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(json.loads(path.read_text()), fh)
+    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+    assert b"-0.0, 5e-324, 1e+16, 0.30000000000000004" in path.read_bytes()
+
+
 @pytest.mark.parametrize("block", ["net_config", "agent_config"])
 @pytest.mark.parametrize("change", ["missing", "extra"])
 def test_checkpoint_config_key_mismatch_rejected(tmp_path, block, change):
