@@ -11,7 +11,6 @@ from .agent import (
     AgentConfig,
     EpsilonSchedule,
     ReplayBuffer,
-    compute_targets,
     epsilon_at,
     select_action,
     train_step,
@@ -50,7 +49,6 @@ from .training import (
     TrainConfig,
     TrainLog,
     load_checkpoint,
-    outperformance_ma,
     run_training,
     save_checkpoint,
 )

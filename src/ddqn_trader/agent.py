@@ -25,18 +25,6 @@ from .net import AdamState, NetConfig, NetParams
 from .seeding import rng_streams
 
 
-@dataclass
-class TransitionBatch:
-    states: np.ndarray  # [batch, input_dim]
-    actions: np.ndarray  # [batch]
-    rewards: np.ndarray  # [batch]
-    next_states: np.ndarray  # [batch, input_dim]
-    dones: np.ndarray  # [batch] bool
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-
 class ReplayBuffer:
     """Fixed-capacity ring of transitions over one states matrix.
 
@@ -109,18 +97,6 @@ class ReplayBuffer:
         for src, dst in ((self._rows, rows), (self._actions, actions),
                          (self._rewards, rewards), (self._dones, dones)):
             np.take(src, slots, out=dst, mode="clip")
-
-    def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
-        """A :meth:`draw` as a batch of explicit states and next states."""
-        slots = self.draw(batch_size, rng)
-        rows = self._rows[slots]
-        return TransitionBatch(
-            states=self.states[rows],
-            actions=self._actions[slots],
-            rewards=self._rewards[slots],
-            next_states=self.states[rows + 1],
-            dones=self._dones[slots],
-        )
 
 
 @dataclass(frozen=True)
@@ -265,22 +241,8 @@ def select_action(
         if rng.random() < epsilon:
             return Action(int(rng.integers(0, 3)))
     obs = np.asarray(observation, dtype=np.float64).reshape(1, -1)
-    q, _ = net.forward(agent.online, obs, agent.config.net, mode="eval")
+    q = net.forward(agent.online, obs, agent.config.net)
     return Action(int(np.argmax(q[0])))
-
-
-def compute_targets(agent: Agent, batch: TransitionBatch) -> np.ndarray:
-    """Double-Q targets for a batch of explicit states, all forwards in eval mode.
-
-    The reference for :func:`train_step`, whose targets from frame rows are
-    equal to these bit for bit.
-    """
-    cfg = agent.config
-    q_online, _ = net.forward(agent.online, batch.next_states, cfg.net)
-    q_target, _ = net.forward(agent.target, batch.next_states, cfg.net)
-    best_next = np.argmax(q_online, axis=1)
-    bootstrapped = q_target[np.arange(len(batch)), best_next]
-    return batch.rewards + cfg.gamma * bootstrapped * ~batch.dones
 
 
 class _FramePass:
@@ -289,9 +251,10 @@ class _FramePass:
     A batch of B transitions touches at most min(F, 2B) rows: each
     transition's row and the next. The online and then the target network's
     layers 1–2 run once each over those rows.
-    Every output-layer matmul has exactly B rows, as in :func:`compute_targets`,
-    because OpenBLAS can round a row of a 3-wide product differently at
-    another row count; the 64-wide hidden layers showed no such difference.
+    Every output-layer matmul has exactly B rows, the row count of an eval
+    forward over the batch's next states, because OpenBLAS can round a row of
+    a 3-wide product differently at another row count; the 64-wide hidden
+    layers showed no such difference.
     """
 
     def __init__(self, config: NetConfig, states: np.ndarray, batch: int):

@@ -92,7 +92,6 @@ CONFIG_KEYS: dict[str, tuple] = {
     "dropout": (float, NetConfig, "dropout_rate"),
     "l2_activity": (float, NetConfig, "l2_activity"),
     "early_stop_streak": (int, TrainConfig, "early_stop_streak"),
-    "ma_window": (int, TrainConfig, "ma_window"),
     **{key: (date.fromisoformat, SplitSpec, key)
        for key in ("train_start", "train_end", "test_end")},
     **{f"data.{role}": (str, load_csv, "path") for role in ASSET_ROLES},

@@ -71,7 +71,7 @@ def run_backtest(agent: Agent, frame: FeatureFrame, costs: CostModel) -> Backtes
         )
     if len(frame) < 2:
         raise DataError(f"backtest needs at least 2 frame rows, got {len(frame)}")
-    q, _ = net.forward(agent.online, frame.values[:-1], agent.config.net, mode="eval")
+    q = net.forward(agent.online, frame.values[:-1], agent.config.net)
     finite = np.isfinite(q).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))

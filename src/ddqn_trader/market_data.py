@@ -170,7 +170,13 @@ class FeatureFrame:
                 f"got {len(self.columns)}"
             )
         if n and (not np.all(np.isfinite(values)) or not np.all(np.isfinite(target))):
-            raise DataError("feature frame contains non-finite values")
+            # first bad cell in row-major order, the order of the frame's CSV
+            bad = ~np.isfinite(np.column_stack([values, target]))
+            i, j = divmod(int(np.argmax(bad)), bad.shape[1])
+            column = ("target_return" if j == len(self.columns)
+                      else f"f{j} ({self.columns[j][0]} {self.columns[j][1]}d)")
+            raise DataError(f"feature frame contains non-finite values: first on "
+                            f"{self.dates[i]} in column {column}")
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise DataError("feature frame dates not strictly increasing")
         values.flags.writeable = False
@@ -525,4 +531,7 @@ def read_frame_csv(path, model_id: ModelId | int = ModelId.M0) -> FeatureFrame:
     if not rows:
         raise DataError(f"{path}: no data rows")
     columns = tuple((role, h) for role in MODEL_ROLES[model] for h in (1, 5))
-    return FeatureFrame(model, dates, columns, cells[:-1].T, cells[-1])
+    try:
+        return FeatureFrame(model, dates, columns, cells[:-1].T, cells[-1])
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -306,37 +306,24 @@ def _as_states(states, config: NetConfig) -> np.ndarray:
     return states
 
 
-def forward(
-    params: NetParams,
-    states: np.ndarray,
-    config: NetConfig,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, Workspace | None]:
-    """Q-values for a batch of states, shape [batch, 3].
+def forward(params: NetParams, states: np.ndarray, config: NetConfig) -> np.ndarray:
+    """Eval-mode Q-values for a batch of states, shape [batch, 3].
 
-    Eval mode is deterministic (no dropout, no cache) and runs layers 1–2 in
-    blocks of ``EVAL_BLOCK_ROWS`` rows. Train mode samples a
-    fresh inverted-dropout mask over the second hidden layer and returns the
-    fresh workspace holding its activations (``.mask`` is the mask).
+    Deterministic (no dropout): layers 1–2 run in blocks of
+    ``EVAL_BLOCK_ROWS`` rows, then the output layer once over all rows. The
+    train-mode pass is :meth:`Workspace.hidden` then :meth:`Workspace.train_q`.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     states = _as_states(states, config)
-    if mode == "eval":
-        n = len(states)
-        a1 = np.empty((min(n, EVAL_BLOCK_ROWS + 1), config.hidden_dims[0]))
-        a2 = np.empty((n, config.hidden_dims[1]))
-        # a 1-row product takes another BLAS path and can round differently,
-        # so a last block of one row joins the block before it
-        start = 0
-        for stop in [*range(EVAL_BLOCK_ROWS, n - 1, EVAL_BLOCK_ROWS), n]:
-            hidden(params, states[start:stop], a1[: stop - start], a2[start:stop])
-            start = stop
-        return head(params, a2), None
-    ws = Workspace(config, len(states))
-    ws.hidden(params, states)
-    return ws.train_q(params, rng), ws
+    n = len(states)
+    a1 = np.empty((min(n, EVAL_BLOCK_ROWS + 1), config.hidden_dims[0]))
+    a2 = np.empty((n, config.hidden_dims[1]))
+    # a 1-row product takes another BLAS path and can round differently,
+    # so a last block of one row joins the block before it
+    start = 0
+    for stop in [*range(EVAL_BLOCK_ROWS, n - 1, EVAL_BLOCK_ROWS), n]:
+        hidden(params, states[start:stop], a1[: stop - start], a2[start:stop])
+        start = stop
+    return head(params, a2)
 
 
 def loss_and_grads(

@@ -47,7 +47,6 @@ class TrainConfig:
     schedule: EpsilonSchedule
     episodes: int = 1000
     early_stop_streak: int = 25
-    ma_window: int = 50
     seed: int = 0
 
     def __post_init__(self):
@@ -55,8 +54,6 @@ class TrainConfig:
             raise ConfigError(f"episodes must be >= 1, got {self.episodes}")
         if self.early_stop_streak < 1:
             raise ConfigError(f"early_stop_streak must be >= 1, got {self.early_stop_streak}")
-        if self.ma_window < 1:
-            raise ConfigError(f"ma_window must be >= 1, got {self.ma_window}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.schedule.total_episodes < self.episodes:
@@ -99,7 +96,7 @@ def run_training(
     for episode in range(config.episodes):
         eps = epsilon_at(config.schedule, episode)
         obs = env.reset(streams["env"])
-        for _ in range(config.env.episode_length):
+        for step in range(config.env.episode_length):
             row = env.state.cursor
             if action_override is not None:
                 action = int(action_override(obs, streams["epsilon"]))
@@ -110,7 +107,7 @@ def run_training(
             try:
                 train_step(agent)
             except NumericsError as exc:
-                raise NumericsError(f"episode {episode}: {exc}") from exc
+                raise NumericsError(f"episode {episode}, step {step}: {exc}") from exc
             obs = result.observation
         if (
             config.agent.target_sync_unit == "episodes"
@@ -139,19 +136,6 @@ def run_training(
     return log, agent
 
 
-def outperformance_ma(log: TrainLog, window: int = 50) -> np.ndarray:
-    """Trailing fraction of outperforming episodes; partial windows divide by
-    however many episodes exist so far."""
-    if not log.records:
-        raise ValueError("empty training log")
-    flags = np.array([r.outperformed for r in log.records], dtype=np.float64)
-    out = np.empty(len(flags))
-    for k in range(len(flags)):
-        lo = max(0, k - window + 1)
-        out[k] = flags[lo : k + 1].mean()
-    return out
-
-
 def config_snapshot(config: TrainConfig) -> dict:
     frame = config.env.frame
     agent = asdict(config.agent)
@@ -159,7 +143,6 @@ def config_snapshot(config: TrainConfig) -> dict:
     return {
         "episodes": config.episodes,
         "early_stop_streak": config.early_stop_streak,
-        "ma_window": config.ma_window,
         "seed": config.seed,
         "env": {
             "episode_length": config.env.episode_length,

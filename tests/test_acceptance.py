@@ -8,13 +8,7 @@ real desk-scale agents and together take a few minutes.
 import numpy as np
 import pytest
 
-from ddqn_trader.agent import (
-    Agent,
-    AgentConfig,
-    EpsilonSchedule,
-    TransitionBatch,
-    compute_targets,
-)
+from ddqn_trader.agent import Agent, AgentConfig, EpsilonSchedule
 from ddqn_trader.env import Action, COST_PRESETS, CostModel, EnvConfig, TradingEnv
 from ddqn_trader.evaluation import oracle_actions, run_backtest, score_actions
 from ddqn_trader.market_data import ModelId, SplitSpec, build_features, split, synth_generate
@@ -28,6 +22,7 @@ from ddqn_trader.net import (
 )
 from ddqn_trader.seeding import rng_streams
 from ddqn_trader.training import TrainConfig, run_training, write_log_csv
+from reference import TransitionBatch, frame_targets
 
 NO_COST = CostModel(0.0, 0.0)
 
@@ -154,6 +149,7 @@ def _fixture_agent(online_head, target_head, gamma=0.9):
 
 
 def test_criterion_03_double_q_correctness():
+    # The targets come from the frame path train_step runs (reference.frame_targets).
     # handcrafted fixture: s' = (0.6, 0.4) collapses to a2 = 1, so q == head row
     agent = _fixture_agent([0.0, 0.1, 0.5], [0.9, 0.2, 0.3])
     batch = TransitionBatch(
@@ -163,7 +159,7 @@ def test_criterion_03_double_q_correctness():
         next_states=np.array([[0.6, 0.4], [0.6, 0.4]]),
         dones=np.array([False, True]),
     )
-    y = compute_targets(agent, batch)
+    y = frame_targets(agent, batch)
     hand = 0.05 + 0.9 * 0.3  # online argmax = Long, target evaluates Long at 0.3
     max_form = 0.05 + 0.9 * 0.9  # the max-form target bootstraps from 0.9
     ok = (
@@ -189,8 +185,8 @@ def test_criterion_03_double_q_correctness():
             next_states=rng.normal(size=(4, 2)),
             dones=rng.random(4) < 0.2,
         )
-        y_double = compute_targets(shared, fixture)
-        q_next, _ = forward(shared.target, fixture.next_states, config.net)
+        y_double = frame_targets(shared, fixture)
+        q_next = forward(shared.target, fixture.next_states, config.net)
         y_max = fixture.rewards + config.gamma * q_next.max(axis=1) * ~fixture.dones
         max_dev = max(max_dev, float(np.abs(y_double - y_max).max()))
     ok = ok and max_dev <= 1e-12

@@ -8,8 +8,6 @@ from ddqn_trader.agent import (
     AgentConfig,
     EpsilonSchedule,
     ReplayBuffer,
-    TransitionBatch,
-    compute_targets,
     epsilon_at,
     select_action,
     sync_target,
@@ -27,6 +25,7 @@ from ddqn_trader.net import (
     loss_and_grads,
 )
 from ddqn_trader.seeding import rng_streams
+from reference import TransitionBatch, compute_targets, frame_targets, sample, taken
 
 CHI2_CRIT_DF9_P01 = 21.666  # chi-square critical value, df=9, p=0.01
 CHI2_CRIT_DF2_P01 = 9.210  # df=2
@@ -173,11 +172,11 @@ def test_ring_overwrites_oldest():
     for i in range(3):
         buf.store(*transition(reward=float(i), seed=i))
     assert len(buf) == 2
-    # a twin generator replays the rng.integers slot draws inside sample
+    # a twin generator replays the rng.integers slot draws inside draw
     rng, twin = np.random.default_rng(3), np.random.default_rng(3)
     seen = set()
     for _ in range(16):
-        rewards = buf.sample(2, rng).rewards
+        _, _, rewards, _ = taken(buf, buf.draw(2, rng))
         slots = twin.integers(0, 2, size=2).tolist()
         # the third store wrapped onto slot 0, the oldest; slot 1 keeps the second
         assert rewards.tolist() == [[2.0, 1.0][slot] for slot in slots]
@@ -201,29 +200,27 @@ def test_buffer_grows_past_initial_allocation():
     for item in stored:
         buf.store(*item)
     assert len(buf) == 2000
-    batch = buf.sample(2000, np.random.default_rng(3))
-    slots = np.random.default_rng(3).integers(0, 2000, size=2000)  # sample's draws
+    rows, actions, rewards, dones = taken(buf, buf.draw(2000, np.random.default_rng(3)))
+    slots = np.random.default_rng(3).integers(0, 2000, size=2000)  # draw's draws
     assert slots.min() < 1024 <= slots.max()  # both sides of the first allocation
-    assert batch.rewards.tolist() == slots.astype(float).tolist()
-    for i, slot in enumerate(slots):
-        row, action, _, _ = stored[slot]
-        assert np.array_equal(batch.states[i], STATES[row])
-        assert np.array_equal(batch.next_states[i], STATES[row + 1])
-        assert batch.actions[i] == action
+    assert rewards.tolist() == slots.astype(float).tolist()
+    assert rows.tolist() == [stored[slot][0] for slot in slots]
+    assert actions.tolist() == [stored[slot][1] for slot in slots]
+    assert not dones.any()
 
 
 def test_sample_single():
     buf = ReplayBuffer(capacity=4, states=STATES)
     buf.store(*transition(reward=0.42))
-    batch = buf.sample(1, np.random.default_rng(0))
-    assert batch.rewards.tolist() == [0.42]
+    _, _, rewards, _ = taken(buf, buf.draw(1, np.random.default_rng(0)))
+    assert rewards.tolist() == [0.42]
 
 
 def test_sample_underfilled_errors():
     buf = ReplayBuffer(capacity=8, states=STATES)
     buf.store(*transition())
     with pytest.raises(ValueError, match="stored transitions"):
-        buf.sample(2, np.random.default_rng(0))
+        buf.draw(2, np.random.default_rng(0))
 
 
 def test_sample_uniform_chi_square():
@@ -234,8 +231,8 @@ def test_sample_uniform_chi_square():
     counts = np.zeros(10)
     n_draws = 20_000
     for _ in range(n_draws // 4):
-        batch = buf.sample(4, rng)
-        for r in batch.rewards:
+        _, _, rewards, _ = taken(buf, buf.draw(4, rng))
+        for r in rewards:
             counts[int(r)] += 1
     expected = n_draws / 10.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -271,7 +268,7 @@ def test_double_q_uses_online_argmax_evaluated_by_target():
         next_states=np.array([[0.6, 0.4]]),
         dones=np.array([False]),
     )
-    y = compute_targets(agent, batch)
+    y = frame_targets(agent, batch)
     # online argmax is action 2; target evaluates it at 0.3
     assert y[0] == pytest.approx(0.05 + 0.9 * 0.3, abs=1e-12)
     # the max-form target would bootstrap from the target's own max, 0.9
@@ -285,7 +282,7 @@ def test_done_transition_target_is_reward():
         states=np.zeros((1, 2)), actions=np.array([1]), rewards=np.array([0.02]),
         next_states=np.array([[0.6, 0.4]]), dones=np.array([True]),
     )
-    assert compute_targets(agent, batch)[0] == 0.02
+    assert frame_targets(agent, batch)[0] == 0.02
 
 
 def test_gamma_zero_target_is_reward():
@@ -297,7 +294,7 @@ def test_gamma_zero_target_is_reward():
         states=np.zeros((1, 2)), actions=np.array([1]), rewards=np.array([0.07]),
         next_states=np.array([[0.6, 0.4]]), dones=np.array([False]),
     )
-    assert compute_targets(agent, batch)[0] == 0.07
+    assert frame_targets(agent, batch)[0] == 0.07
 
 
 def test_identical_networks_reduce_to_max_form():
@@ -312,8 +309,8 @@ def test_identical_networks_reduce_to_max_form():
             next_states=rng.normal(size=(16, 2)),
             dones=rng.random(16) < 0.1,
         )
-        y = compute_targets(agent, batch)
-        q_target, _ = forward(agent.target, batch.next_states, agent.config.net)
+        y = frame_targets(agent, batch)
+        q_target = forward(agent.target, batch.next_states, agent.config.net)
         max_form = batch.rewards + agent.config.gamma * q_target.max(axis=1) * ~batch.dones
         assert np.array_equal(y, max_form)
 
@@ -330,8 +327,8 @@ def test_target_magnitude_bound():
             next_states=rng.normal(size=(8, 2)),
             dones=rng.random(8) < 0.2,
         )
-        y = compute_targets(agent, batch)
-        q_target, _ = forward(agent.target, batch.next_states, agent.config.net)
+        y = frame_targets(agent, batch)
+        q_target = forward(agent.target, batch.next_states, agent.config.net)
         bound = r_max + agent.config.gamma * np.abs(q_target).max() + 1e-12
         assert np.all(np.abs(y) <= bound)
 
@@ -364,7 +361,7 @@ def test_target_syncs_on_schedule():
     config = agent.config.net
 
     def target_q():
-        return forward(agent.target, probe, config)[0]
+        return forward(agent.target, probe, config)
 
     initial = target_q()
     train_step(agent)
@@ -372,7 +369,7 @@ def test_target_syncs_on_schedule():
     assert np.array_equal(target_q(), initial)  # unchanged between syncs
     train_step(agent)  # counter hits 3 -> sync
     synced = target_q()
-    online_q, _ = forward(agent.online, probe, config)
+    online_q = forward(agent.online, probe, config)
     assert np.array_equal(synced, online_q)
 
 
@@ -399,9 +396,7 @@ def test_dropout_draws_do_not_disturb_replay_stream():
     )
     for agent in (a, b):
         fill_buffer(agent, 8, seed=3)
-    batch_a = a.buffer.sample(4, a._replay_rng)
-    batch_b = b.buffer.sample(4, b._replay_rng)
-    assert np.array_equal(batch_a.states, batch_b.states)
+    assert np.array_equal(a.buffer.draw(4, a._replay_rng), b.buffer.draw(4, b._replay_rng))
 
 
 def test_train_step_matches_unfused_reference():
@@ -420,9 +415,9 @@ def test_train_step_matches_unfused_reference():
     online, target, adam = ref.online, ref.target, ref.adam
     for step in range(1, 51):
         loss = train_step(agent)
-        batch = ref.buffer.sample(32, ref._replay_rng)
-        q_online, _ = forward(online, batch.next_states, config.net)
-        q_target, _ = forward(target, batch.next_states, config.net)
+        batch = sample(ref.buffer, 32, ref._replay_rng)
+        q_online = forward(online, batch.next_states, config.net)
+        q_target = forward(target, batch.next_states, config.net)
         best = np.argmax(q_online, axis=1)
         targets = batch.rewards + config.gamma * q_target[np.arange(32), best] * ~batch.dones
         ref_loss, grads = loss_and_grads(online, batch.states, batch.actions, targets,
@@ -507,7 +502,7 @@ def test_frame_path_matches_reference_bit_for_bit(monkeypatch, frame_rows, batch
         touched = np.unique(np.concatenate([frame.rows, frame.rows + 1]))
         assert np.count_nonzero(frame.touched) == len(touched) <= min(frame_rows, 2 * batch)
 
-        batch_ref = ref.buffer.sample(batch, ref._replay_rng)
+        batch_ref = sample(ref.buffer, batch, ref._replay_rng)
         targets = compute_targets(ref, batch_ref)
         ws = Workspace(config.net, batch)
         ws.hidden(ref.online, batch_ref.states)

@@ -126,6 +126,19 @@ def test_unknown_config_key_rejected_before_outputs(workspace):
     assert not out.exists()
 
 
+def test_removed_ma_window_key_is_unknown(workspace, capsys):
+    tmp_path, config = workspace
+    old = tmp_path / "old.conf"
+    text = config.read_text() + "ma_window = 50\n"
+    old.write_text(text)
+    capsys.readouterr()
+    assert main(["train", "--config", str(old), "--frame", str(tmp_path / "none.csv"),
+                 "--out", str(tmp_path / "run")]) == 2
+    line = text.count("\n")
+    assert _one_error_line(capsys) == f"error: {old}:{line}: unknown config key 'ma_window'\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_bad_config_value_rejected(workspace):
     tmp_path, config = workspace
     bad = tmp_path / "bad2.conf"
@@ -494,4 +507,4 @@ def test_config_keys_name_owner_fields_and_match_readme():
         assert field in inspect.signature(owner).parameters, (key, owner, field)
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("## Config file", 1)[1].split("```")[1]
-    assert set(re.findall(r"([\w.]+) = ", block)) == set(CONFIG_KEYS)
+    assert sorted(re.findall(r"([\w.]+) = ", block)) == sorted(CONFIG_KEYS)

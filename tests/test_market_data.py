@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from datetime import date
 
 import numpy as np
@@ -588,6 +589,32 @@ def test_read_frame_csv_non_numeric_cell_names_file_and_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=r"frame\.csv: line 3: .*n/a"):
         read_frame_csv(path, ModelId.M0)
+
+
+@pytest.mark.parametrize("bad, message", [
+    # the first bad row wins, and within it the leftmost column
+    ({(4, 0): np.nan, (2, 3): np.inf, (2, 1): -np.inf}, "2020-01-08 in column f1 (spx 5d)"),
+    ({(3, 4): np.nan, (5, 0): np.nan}, "2020-01-09 in column target_return"),
+    ({(0, 2): np.nan}, "2020-01-06 in column f2 (russell 1d)"),
+])
+def test_non_finite_frame_names_first_bad_row_and_column(bad, message):
+    frame = edge_frame(6)
+    cells = np.column_stack([frame.values, frame.target_returns])
+    for at, value in bad.items():
+        cells[at] = value
+    message = f"feature frame contains non-finite values: first on {message}"
+    with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+        FeatureFrame(frame.model_id, frame.dates, frame.columns, cells[:, :4], cells[:, 4])
+
+
+def test_read_frame_csv_non_finite_cell_names_file_row_and_column(tmp_path):
+    path = tmp_path / "frame.csv"
+    write_frame_csv(edge_frame(6), path)
+    rewrite_lines(path, {(5, 3): "nan", (6, 1): "inf"})  # line 5 is the frame's 4th row
+    with pytest.raises(DataError, match=r"frame\.csv: feature frame contains non-finite "
+                                        r"values: first on 2020-01-09 in column f2 "
+                                        r"\(russell 1d\)$"):
+        read_frame_csv(path, ModelId.M1)
 
 
 def test_read_frame_csv_width_mismatch(tmp_path):

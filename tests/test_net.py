@@ -8,6 +8,7 @@ from ddqn_trader.net import (
     EVAL_BLOCK_ROWS,
     NetConfig,
     NetParams,
+    Workspace,
     adam_step,
     forward,
     head,
@@ -110,17 +111,17 @@ def test_net_config_requires_finite_l2_activity(l2):
 
 def test_forward_zero_net_outputs_zero():
     config = NetConfig(input_dim=4, dropout_rate=0.0)
-    q, cache = forward(zero_params(config), np.random.default_rng(0).normal(size=(6, 4)), config)
+    q = forward(zero_params(config), np.random.default_rng(0).normal(size=(6, 4)), config)
+    assert q.shape == (6, 3)
     assert np.all(q == 0.0)
-    assert cache is None
 
 
 def test_forward_eval_deterministic():
     config = NetConfig(input_dim=2, seed=3)
     params = init_params(config)
     x = np.random.default_rng(1).normal(size=(5, 2))
-    q1, _ = forward(params, x, config, mode="eval")
-    q2, _ = forward(params, x, config, mode="eval")
+    q1 = forward(params, x, config)
+    q2 = forward(params, x, config)
     assert np.array_equal(q1, q2)
 
 
@@ -133,14 +134,14 @@ def test_forward_eval_blocks_equal_one_pass(input_dim):
     for rows in (0, 1, 2, EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS + 1,
                  EVAL_BLOCK_ROWS + 2, 2 * EVAL_BLOCK_ROWS + 1, 749, 1000):
         states = rng.normal(size=(rows, input_dim))
-        q, _ = forward(params, states, config)
+        q = forward(params, states, config)
         a2, _ = hidden(params, states)
         assert q.tobytes() == head(params, a2).tobytes()
 
 
 def test_forward_eval_empty_batch():
     config = NetConfig(input_dim=2, seed=3)
-    q, _ = forward(init_params(config), np.zeros((0, 2)), config, mode="eval")
+    q = forward(init_params(config), np.zeros((0, 2)), config)
     assert q.shape == (0, 3)
 
 
@@ -151,7 +152,7 @@ def test_forward_handcrafted_single_unit():
         [np.array([[2.0]]), np.array([[1.5]]), np.array([[0.2, -0.3, 0.1]])],
         [np.array([0.5]), np.array([-1.0]), np.array([0.05, 0.0, -0.05])],
     )
-    q, _ = forward(params, np.array([[1.0]]), config)
+    q = forward(params, np.array([[1.0]]), config)
     # z1 = 2*1 + .5 = 2.5 ; z2 = 2.5*1.5 - 1 = 2.75 ; q = 2.75*[.2,-.3,.1] + b3
     assert q[0].tolist() == pytest.approx([0.6, -0.825, 0.225], abs=1e-15)
 
@@ -167,20 +168,24 @@ def test_forward_train_dropout_masks():
     params = init_params(config)
     rng = np.random.default_rng(8)
     x = np.abs(np.random.default_rng(2).normal(size=(200, 2))) + 0.1
-    _, cache = forward(params, x, config, mode="train", rng=rng)
-    assert cache is not None and cache.mask is not None
-    assert set(np.unique(cache.mask)) <= {0.0, 2.0}  # inverted scaling 1/(1-p)
-    drop_fraction = np.mean(cache.mask == 0.0)
+    ws = Workspace(config, len(x))  # the train-mode forward: hidden, then train_q
+    ws.hidden(params, x)
+    ws.train_q(params, rng)
+    mask = ws.mask.copy()  # ws.mask is a view the next train_q overwrites
+    assert set(np.unique(mask)) <= {0.0, 2.0}  # inverted scaling 1/(1-p)
+    drop_fraction = np.mean(mask == 0.0)
     assert 0.45 < drop_fraction < 0.55
-    _, cache2 = forward(params, x, config, mode="train", rng=rng)
-    assert not np.array_equal(cache.mask, cache2.mask)  # fresh masks per call
+    ws.train_q(params, rng)
+    assert not np.array_equal(mask, ws.mask)  # fresh masks per call
 
 
 def test_forward_train_without_rng_errors():
     config = NetConfig(input_dim=2, dropout_rate=0.5)
+    params = init_params(NetConfig(input_dim=2, seed=0))
+    ws = Workspace(config, 1)
+    ws.hidden(params, np.zeros((1, 2)))
     with pytest.raises(ValueError, match="rng"):
-        forward(init_params(NetConfig(input_dim=2, seed=0)), np.zeros((1, 2)), config,
-                mode="train")
+        ws.train_q(params, None)
 
 
 # ----------------------------------------------------------- loss and grads
@@ -189,7 +194,7 @@ def test_loss_zero_at_exact_targets():
     config = NetConfig(input_dim=2, dropout_rate=0.0, l2_activity=0.0, seed=4)
     params = init_params(config)
     x = np.random.default_rng(5).normal(size=(7, 2))
-    q, _ = forward(params, x, config)
+    q = forward(params, x, config)
     actions = np.array([0, 1, 2, 0, 1, 2, 0])
     targets = q[np.arange(7), actions]
     loss, grads = loss_and_grads(params, x, actions, targets, config, mode="eval")
@@ -241,11 +246,13 @@ def test_dropout_mask_applied_consistently_in_backward():
     params = init_params(NetConfig(input_dim=2, hidden_dims=(4, 4), seed=2))
     x = np.array([[0.4, 0.2]])
     rng_a = np.random.default_rng(3)
-    _, cache = forward(params, x, config, mode="train", rng=rng_a)
+    ws = Workspace(config, 1)
+    ws.hidden(params, x)
+    ws.train_q(params, rng_a)
     rng_b = np.random.default_rng(3)  # same mask again
     _, grads = loss_and_grads(params, x, np.array([1]), np.array([0.5]), config,
                               mode="train", rng=rng_b)
-    dropped = cache.mask[0] == 0.0
+    dropped = ws.mask[0] == 0.0
     assert np.all(grads.weights[2][dropped, :] == 0.0)
 
 
@@ -272,7 +279,7 @@ def test_activity_penalty_strictly_positive():
     penalized = NetConfig(input_dim=2, dropout_rate=0.0, l2_activity=1e-6, seed=6)
     params = init_params(base)
     x = np.array([[0.5, -0.4]])
-    q, _ = forward(params, x, base)
+    q = forward(params, x, base)
     assert np.any(q != 0.0)  # some activation is live
     plain, _ = loss_and_grads(params, x, np.array([0]), np.array([0.3]), base, mode="eval")
     with_penalty, _ = loss_and_grads(params, x, np.array([0]), np.array([0.3]), penalized,
@@ -366,9 +373,9 @@ def test_clone_is_independent():
     params = init_params(config)
     copy = params.clone()
     x = np.random.default_rng(0).normal(size=(4, 2))
-    before, _ = forward(copy, x, config)
+    before = forward(copy, x, config)
     params.weights[0][0, 0] += 1.0
-    after, _ = forward(copy, x, config)
+    after = forward(copy, x, config)
     assert np.array_equal(before, after)
 
 
@@ -376,8 +383,8 @@ def test_clone_outputs_equal():
     config = NetConfig(input_dim=4, seed=12)
     params = init_params(config)
     x = np.random.default_rng(1).normal(size=(8, 4))
-    q1, _ = forward(params, x, config)
-    q2, _ = forward(params.clone(), x, config)
-    q3, _ = forward(params.clone().clone(), x, config)
+    q1 = forward(params, x, config)
+    q2 = forward(params.clone(), x, config)
+    q3 = forward(params.clone().clone(), x, config)
     assert np.array_equal(q1, q2)
     assert np.array_equal(q1, q3)
