@@ -30,9 +30,7 @@ from .market_data import (
     FeatureFrame,
     ModelId,
     PriceSeries,
-    ReturnSeries,
     SplitSpec,
-    VolSeries,
     build_features,
     ewma_vol,
     load_csv,

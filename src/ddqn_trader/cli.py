@@ -205,16 +205,8 @@ def cmd_prepare(args) -> int:
             "train_end": spec.train_end.isoformat(),
             "test_end": spec.test_end.isoformat(),
         },
-        "train": {
-            "rows": len(train_frame),
-            "first_date": train_frame.dates[0].isoformat(),
-            "last_date": train_frame.dates[-1].isoformat(),
-        },
-        "test": {
-            "rows": len(test_frame),
-            "first_date": test_frame.dates[0].isoformat(),
-            "last_date": test_frame.dates[-1].isoformat(),
-        },
+        "train": train_frame.summary(),
+        "test": test_frame.summary(),
     }
     write_all({
         paths["train_frame.csv"]: lambda p: write_frame_csv(train_frame, p),
@@ -270,13 +262,13 @@ def cmd_evaluate(args) -> int:
     costs = _build(CostModel, values)
     agent = load_checkpoint(args.checkpoint, seed=_value(values, "seed"))
     width = agent.config.net.input_dim
+    by_width = {m.n_features: m for m in ModelId}
     if args.model is not None:
-        model_value = args.model
-    elif width in (2, 4, 6, 8):
-        model_value = (width // 2) - 1
+        model = ModelId(args.model)
+    elif width in by_width:
+        model = by_width[width]
     else:
         raise DataError(f"checkpoint width {width} maps to no model; pass --model")
-    model = ModelId(model_value)
     frame = read_frame_csv(args.frame, model)
     if frame.n_features != width:
         raise DataError(

@@ -10,6 +10,11 @@ A feature frame stacks the normalized 1-day and 5-day returns of the traded
 asset plus zero to three companion assets (inner-joined on dates) and carries
 the raw 1-day return of the traded asset alongside, which is what the trading
 environment pays rewards with.
+
+Between the two dated types, ``PriceSeries`` in and ``FeatureFrame`` out, the
+returns, volatilities and features are plain arrays: the 1-day returns and
+their sigma fall on ``dates[1:]`` of the price series, the 5-day returns on
+``dates[5:]``, so the 5-day sigma is ``sigma[4:]``.
 """
 
 from __future__ import annotations
@@ -89,54 +94,6 @@ class PriceSeries:
 
 
 @dataclass(frozen=True)
-class ReturnSeries:
-    """Log returns over a fixed horizon, one value per date."""
-
-    asset_id: str
-    horizon: int
-    dates: tuple[date, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "dates", tuple(self.dates))
-        if len(self.dates) != len(values):
-            raise DataError(f"{self.asset_id}: date/value length mismatch")
-        if not np.all(np.isfinite(values)):
-            raise DataError(f"{self.asset_id}: non-finite return values")
-        values.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-
-@dataclass(frozen=True)
-class VolSeries:
-    """EWMA daily volatility aligned to the date index of its source returns."""
-
-    asset_id: str
-    dates: tuple[date, ...]
-    sigma: np.ndarray
-    decay: float
-
-    def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "dates", tuple(self.dates))
-        if len(self.dates) != len(sigma):
-            raise DataError(f"{self.asset_id}: date/sigma length mismatch")
-        if len(sigma) and (not np.all(np.isfinite(sigma)) or np.any(sigma < 0)):
-            raise DataError(f"{self.asset_id}: invalid volatility values")
-        if not 0.0 < self.decay < 1.0:
-            raise DataError(f"decay must be in (0, 1), got {self.decay}")
-        sigma.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-
-@dataclass(frozen=True)
 class FeatureFrame:
     """Date-aligned matrix of normalized returns plus the raw traded-asset return.
 
@@ -188,6 +145,11 @@ class FeatureFrame:
     @property
     def n_features(self) -> int:
         return len(self.columns)
+
+    def summary(self) -> dict:
+        """Row count and ISO first and last dates, as the JSON outputs record them."""
+        return {"rows": len(self), "first_date": self.dates[0].isoformat(),
+                "last_date": self.dates[-1].isoformat()}
 
 
 @dataclass(frozen=True)
@@ -256,8 +218,8 @@ def load_csv(path, asset_id: str | None = None) -> PriceSeries:
     return PriceSeries(asset_id, dates, closes, drop_count=dropped)
 
 
-def log_returns(series: PriceSeries, horizon: int) -> ReturnSeries:
-    """value_t = ln(close_t / close_{t-horizon}); output starts ``horizon`` rows in."""
+def log_returns(series: PriceSeries, horizon: int) -> np.ndarray:
+    """r_t = ln(close_t / close_{t-horizon}), on the dates ``series.dates[horizon:]``."""
     if horizon not in VALID_HORIZONS:
         raise ValueError(f"horizon must be one of {VALID_HORIZONS}, got {horizon}")
     if len(series) <= horizon:
@@ -266,65 +228,50 @@ def log_returns(series: PriceSeries, horizon: int) -> ReturnSeries:
             f"got {len(series)}"
         )
     values = np.log(series.closes[horizon:] / series.closes[:-horizon])
-    return ReturnSeries(series.asset_id, horizon, series.dates[horizon:], values)
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{series.asset_id}: non-finite return values")
+    return values
 
 
-def ewma_vol(returns: ReturnSeries, decay: float, seed_var: float | None = None) -> VolSeries:
-    """Exponentially weighted moving volatility of a return series.
+def ewma_vol(returns: np.ndarray, decay: float) -> np.ndarray:
+    """Exponentially weighted moving volatility, one sigma per return.
 
     var_t = decay * var_{t-1} + (1 - decay) * r_t^2, seeded with the mean
-    squared return over the first 20 observations (or all, if fewer) unless
-    ``seed_var`` overrides it. sigma_t includes the current return, so it is
-    strictly positive on any date whose trailing window saw a nonzero return.
+    squared return over the first 20 observations (or all, if fewer). sigma_t
+    includes the current return, so it is strictly positive on any date whose
+    trailing window saw a nonzero return.
     """
     if not 0.0 < decay < 1.0:
         raise ConfigError(f"decay must be in (0, 1), got {decay}")
     if len(returns) == 0:
-        raise DataError(f"{returns.asset_id}: empty return series")
-    sq = returns.values**2
-    var_prev = float(np.mean(sq[: min(EWMA_SEED_WINDOW, len(sq))])) if seed_var is None else float(seed_var)
+        raise DataError("empty return series")
+    sq = returns**2
+    var_prev = float(np.mean(sq[:EWMA_SEED_WINDOW]))
     # Python floats run the recursion faster than numpy scalars, with the same
     # IEEE operations in the same order
     var = []
     for s in sq.tolist():
         var_prev = decay * var_prev + (1.0 - decay) * s
         var.append(var_prev)
-    return VolSeries(returns.asset_id, returns.dates, np.sqrt(var), decay)
+    return np.sqrt(var)
 
 
 def normalize(
-    returns: ReturnSeries, vol: VolSeries, annualization: float = ANNUALIZATION
-) -> ReturnSeries:
-    """Scale returns to r_t / (sigma_t * annualization).
+    returns: np.ndarray, sigma: np.ndarray, annualization: float = ANNUALIZATION
+) -> np.ndarray:
+    """Scale returns to r_t / (sigma_t * annualization), position by position.
 
-    Dates must align exactly. A zero sigma passes through as 0 when the return
-    is also 0, and is an error otherwise.
+    A zero sigma passes through as 0 when the return is also 0, and is an
+    error naming the position otherwise.
     """
-    if returns.dates != vol.dates:
-        raise DataError(f"{returns.asset_id}: return/volatility date indices differ")
+    zero_sigma = sigma == 0.0
+    bad = zero_sigma & (returns != 0.0)
+    if np.any(bad):
+        raise DataError(f"zero volatility with nonzero return at position {int(np.argmax(bad))}")
     out = np.zeros(len(returns))
-    zero_sigma = vol.sigma == 0.0
-    if np.any(zero_sigma & (returns.values != 0.0)):
-        bad = returns.dates[int(np.argmax(zero_sigma & (returns.values != 0.0)))]
-        raise DataError(
-            f"{returns.asset_id}: zero volatility with nonzero return on {bad.isoformat()}"
-        )
     ok = ~zero_sigma
-    out[ok] = returns.values[ok] / (vol.sigma[ok] * annualization)
-    return ReturnSeries(returns.asset_id, returns.horizon, returns.dates, out)
-
-
-def _asset_columns(price: PriceSeries, decay: float, horizon_scaled: bool):
-    """Normalized 1-day/5-day features plus the raw 1-day returns for one asset."""
-    r1 = log_returns(price, 1)
-    r5 = log_returns(price, 5)
-    vol = ewma_vol(r1, decay)
-    n1 = normalize(r1, vol)
-    # vol shares r1's date index; the 5-day series starts four rows later
-    vol5 = VolSeries(vol.asset_id, vol.dates[4:], vol.sigma[4:], decay)
-    scale = math.sqrt(252.0 / 5.0) if horizon_scaled else ANNUALIZATION
-    n5 = normalize(r5, vol5, annualization=scale)
-    return n1, n5, r1
+    out[ok] = returns[ok] / (sigma[ok] * annualization)
+    return out
 
 
 def build_features(
@@ -346,15 +293,20 @@ def build_features(
     missing = [r for r in roles if r not in series_by_role]
     if missing:
         raise DataError(f"{model.name}: missing price series for {', '.join(missing)}")
-    # each column as (date ordinals, values); the 5-day column starts four rows in
+    scale5 = math.sqrt(252.0 / 5.0) if horizon_scaled else ANNUALIZATION
+    # each column as (date ordinals, values)
     column_order = tuple((role, h) for role in roles for h in (1, 5))
     columns: list[tuple[np.ndarray, np.ndarray]] = []
     for role in roles:
-        n1, n5, r1 = _asset_columns(series_by_role[role], decay, horizon_scaled)
-        days = np.array([d.toordinal() for d in r1.dates], dtype=np.int64)
-        columns += [(days, n1.values), (days[4:], n5.values)]
+        price = series_by_role[role]
+        r1, r5 = log_returns(price, 1), log_returns(price, 5)
+        sigma = ewma_vol(r1, decay)
+        # r1 and sigma fall on price.dates[1:], r5 four rows later on price.dates[5:]
+        days = np.array([d.toordinal() for d in price.dates[1:]], dtype=np.int64)
+        columns += [(days, normalize(r1, sigma)),
+                    (days[4:], normalize(r5, sigma[4:], annualization=scale5))]
         if role == TRADED_ASSET:
-            target_days, target_values, target_dates = days, r1.values, r1.dates
+            target_days, target_values, target_dates = days, r1, price.dates[1:]
     common = target_days
     for days, _ in columns:
         common = np.intersect1d(common, days, assume_unique=True)

@@ -18,7 +18,6 @@ activation or gradient arrays.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -332,21 +331,17 @@ def loss_and_grads(
     actions: np.ndarray,
     targets: np.ndarray,
     config: NetConfig,
-    mode: str = "train",
     rng: np.random.Generator | None = None,
 ) -> tuple[float, NetParams]:
     """Mean squared TD error plus activity penalty, with analytic gradients.
 
     ``actions`` selects the output unit each sample's error flows through.
-    Dropout masks sampled in the forward are applied consistently backward.
-    Raises NumericsError naming the layer if anything goes non-finite.
+    Dropout masks sampled in the forward are applied consistently backward;
+    with ``config.dropout_rate`` 0 the loss is deterministic and ``rng`` may
+    be None. Raises NumericsError naming the layer if anything goes non-finite.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if len(actions) == 0:
         raise ValueError("empty batch")
-    if mode == "eval":  # dropout off regardless of config, used by gradient checks
-        config = dataclasses.replace(config, dropout_rate=0.0)
     states = _as_states(states, config)
     ws = Workspace(config, len(states))
     ws.hidden(params, states)

@@ -150,10 +150,8 @@ def config_snapshot(config: TrainConfig) -> dict:
             "start": config.env.start,
             "frame": {
                 "model": frame.model_id.name,
-                "rows": len(frame),
                 "features": frame.n_features,
-                "first_date": frame.dates[0].isoformat(),
-                "last_date": frame.dates[-1].isoformat(),
+                **frame.summary(),
             },
         },
         "agent": agent,

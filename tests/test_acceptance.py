@@ -46,7 +46,7 @@ def test_criterion_01_parameter_counts():
 # -------------------------------------------------------------- criterion 2
 
 def _fd_loss(params, states, actions, targets, config):
-    loss, _ = loss_and_grads(params, states, actions, targets, config, mode="eval")
+    loss, _ = loss_and_grads(params, states, actions, targets, config)
     return loss
 
 
@@ -102,7 +102,7 @@ def test_criterion_02_gradient_fidelity():
         config, params, states, actions, targets = _random_fixture(candidate, rng, full_size)
         if not _kink_free(params, states, config):
             continue
-        _, analytic = loss_and_grads(params, states, actions, targets, config, mode="eval")
+        _, analytic = loss_and_grads(params, states, actions, targets, config)
         coords = []
         for kind in ("weights", "biases"):
             for layer in range(3):

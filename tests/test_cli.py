@@ -5,12 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from ddqn_trader.agent import AgentConfig, EpsilonSchedule
+from ddqn_trader.agent import Agent, AgentConfig, EpsilonSchedule
 from ddqn_trader.cli import CONFIG_KEYS, main
 from ddqn_trader.env import EnvConfig
 from ddqn_trader.market_data import ModelId, load_csv, read_frame_csv
 from ddqn_trader.net import NetConfig
-from ddqn_trader.training import TrainConfig, config_hash, config_snapshot
+from ddqn_trader.training import TrainConfig, config_hash, config_snapshot, save_checkpoint
 
 SMOKE_CONFIG = """
 # desk-scale smoke setup
@@ -222,6 +222,21 @@ def test_evaluate_width_mismatch_exit_code(workspace, tmp_path):
                  str(run / "checkpoint.json"), "--frame", str(prep1 / "test_frame.csv"),
                  "--out", str(ws / "evbad")])
     assert code == 2
+
+
+def test_evaluate_checkpoint_width_of_no_model_exit_code(workspace, capsys):
+    ws, config = workspace
+    prep = ws / "prep"
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    checkpoint = ws / "width3.json"
+    save_checkpoint(Agent.create(AgentConfig(net=NetConfig(input_dim=3))), checkpoint)
+    capsys.readouterr()
+    code = main(["evaluate", "--config", str(config), "--checkpoint", str(checkpoint),
+                 "--frame", str(prep / "test_frame.csv"), "--out", str(ws / "ev")])
+    assert code == 2
+    assert _one_error_line(capsys) == (
+        "error: checkpoint width 3 maps to no model; pass --model\n")
+    assert not (ws / "ev").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

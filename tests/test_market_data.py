@@ -12,10 +12,7 @@ from ddqn_trader.market_data import (
     FeatureFrame,
     ModelId,
     PriceSeries,
-    ReturnSeries,
     SplitSpec,
-    VolSeries,
-    _asset_columns,
     build_features,
     ewma_vol,
     load_csv,
@@ -107,21 +104,21 @@ def test_price_series_rejects_nonpositive_close():
 def test_log_returns_constant_price():
     series = make_prices([100.0, 100.0])
     out = log_returns(series, 1)
-    assert out.values.tolist() == [0.0]
-    assert out.dates == series.dates[1:]
+    assert out.tolist() == [0.0]
+    assert len(out) == len(series.dates[1:])
 
 
 def test_log_returns_inverse_of_exp():
     series = make_prices([100.0, 100.0 * math.exp(0.01)])
     out = log_returns(series, 1)
-    assert out.values[0] == pytest.approx(0.01, abs=1e-15)
+    assert out[0] == pytest.approx(0.01, abs=1e-15)
 
 
 def test_log_returns_geometric_closed_form():
     closes = 100.0 * 1.001 ** np.arange(30)
     out = log_returns(make_prices(closes), 5)
     # closed form: every 5-day log return of a ratio-r geometric series is 5*ln(r)
-    assert np.allclose(out.values, 5 * math.log(1.001), atol=1e-12)
+    assert np.allclose(out, 5 * math.log(1.001), atol=1e-12)
     assert len(out) == 25
 
 
@@ -135,110 +132,112 @@ def test_log_returns_series_too_short():
         log_returns(make_prices([1.0] * 5), 5)
 
 
+def test_log_returns_non_finite_rejected():
+    with pytest.raises(DataError, match="spx: non-finite return values"):
+        log_returns(make_prices([100.0, math.inf]), 1)
+
+
 def test_log_returns_recover_price_ratio():
     rng = np.random.default_rng(3)
     closes = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, size=200)))
     series = make_prices(closes)
     r1 = log_returns(series, 1)
-    recovered = np.exp(np.cumsum(r1.values))
+    recovered = np.exp(np.cumsum(r1))
     assert np.allclose(recovered, closes[1:] / closes[0], rtol=1e-12)
 
 
 # ---------------------------------------------------------------- ewma_vol
 
-def _returns(values, start=date(2020, 1, 6)):
-    return ReturnSeries("spx", 1, weekdays(start, len(values)), np.asarray(values, dtype=float))
+def _array(values):
+    return np.asarray(values, dtype=float)
 
 
 def test_ewma_all_zero_returns():
-    out = ewma_vol(_returns([0.0] * 30), decay=0.94)
-    assert np.all(out.sigma == 0.0)
+    out = ewma_vol(_array([0.0] * 30), decay=0.94)
+    assert np.all(out == 0.0)
 
 
 def test_ewma_constant_returns_fixed_point():
     # seed equals c^2, and c^2 is the exact fixed point of the recursion
     c = 0.02
-    out = ewma_vol(_returns([c] * 50), decay=0.94)
-    assert np.allclose(out.sigma, abs(c), atol=1e-15)
+    out = ewma_vol(_array([c] * 50), decay=0.94)
+    assert np.allclose(out, abs(c), atol=1e-15)
 
 
 def test_ewma_hand_recursion():
-    out = ewma_vol(_returns([0.02, 0.0]), decay=0.5, seed_var=0.0004)
-    # var_1 = .5*4e-4 + .5*4e-4 = 4e-4 ; var_2 = .5*4e-4 + .5*0 = 2e-4
-    assert out.sigma[0] == pytest.approx(math.sqrt(4e-4), abs=1e-15)
-    assert out.sigma[1] == pytest.approx(math.sqrt(2e-4), abs=1e-15)
+    # seed var_0 = mean(r^2) over the first 20 (here both) = (4e-4 + 0) / 2 = 2e-4
+    out = ewma_vol(_array([0.02, 0.0]), decay=0.5)
+    # var_1 = .5*2e-4 + .5*4e-4 = 3e-4 ; var_2 = .5*3e-4 + .5*0 = 1.5e-4
+    assert out[0] == pytest.approx(math.sqrt(3e-4), abs=1e-15)
+    assert out[1] == pytest.approx(math.sqrt(1.5e-4), abs=1e-15)
 
 
 def test_ewma_seed_uses_first_twenty():
     rng = np.random.default_rng(5)
     values = rng.normal(0, 0.01, size=60)
-    out = ewma_vol(_returns(values), decay=0.9)
+    out = ewma_vol(_array(values), decay=0.9)
     # independent recursion oracle
     var = float(np.mean(values[:20] ** 2))
     for t in range(60):
         var = 0.9 * var + 0.1 * values[t] ** 2
-        assert out.sigma[t] == pytest.approx(math.sqrt(var), rel=1e-12)
+        assert out[t] == pytest.approx(math.sqrt(var), rel=1e-12)
 
 
 @pytest.mark.parametrize("decay", [0.0, 1.0, -0.5, 1.5])
 def test_ewma_decay_out_of_range(decay):
     with pytest.raises(ValueError, match="decay"):
-        ewma_vol(_returns([0.01]), decay=decay)
+        ewma_vol(_array([0.01]), decay=decay)
 
 
 @pytest.mark.parametrize("decay", [1.5, math.nan])
 def test_ewma_decay_out_of_range_is_config_error(decay):
     with pytest.raises(ConfigError, match=r"decay must be in \(0, 1\)"):
-        ewma_vol(_returns([0.01]), decay=decay)
+        ewma_vol(_array([0.01]), decay=decay)
+
+
+def test_ewma_empty_returns_rejected():
+    with pytest.raises(DataError, match="empty return series"):
+        ewma_vol(_array([]), decay=0.94)
 
 
 # --------------------------------------------------------------- normalize
 
 def test_ewma_equals_numpy_scalar_recursion():
-    returns = _returns(np.random.default_rng(5).normal(scale=0.01, size=5000))
-    sq = returns.values**2
+    returns = _array(np.random.default_rng(5).normal(scale=0.01, size=5000))
+    sq = returns**2
     var_prev = float(np.mean(sq[:20]))
     var = np.empty(len(sq))
     for t in range(len(sq)):
         var_prev = 0.94 * var_prev + (1.0 - 0.94) * sq[t]
         var[t] = var_prev
-    assert ewma_vol(returns, 0.94).sigma.tobytes() == np.sqrt(var).tobytes()
-
-
-def _vol(sigmas, start=date(2020, 1, 6), decay=0.94):
-    return VolSeries("spx", weekdays(start, len(sigmas)), np.asarray(sigmas, dtype=float), decay)
+    assert ewma_vol(returns, 0.94).tobytes() == np.sqrt(var).tobytes()
 
 
 def test_normalize_zero_return():
-    out = normalize(_returns([0.0]), _vol([0.01]))
-    assert out.values[0] == 0.0
+    out = normalize(_array([0.0]), _array([0.01]))
+    assert out[0] == 0.0
 
 
 def test_normalize_direct_arithmetic():
-    out = normalize(_returns([0.01]), _vol([0.01]))
+    out = normalize(_array([0.01]), _array([0.01]))
     expected = 0.01 / (0.01 * math.sqrt(252.0))  # = 1/sqrt(252) ~ 0.0629940788349
-    assert out.values[0] == pytest.approx(expected, abs=1e-15)
-    assert out.values[0] == pytest.approx(0.06299407883487121, abs=1e-15)
+    assert out[0] == pytest.approx(expected, abs=1e-15)
+    assert out[0] == pytest.approx(0.06299407883487121, abs=1e-15)
 
 
 def test_normalize_sign_symmetry():
-    out = normalize(_returns([-0.02]), _vol([0.02]))
-    assert out.values[0] == pytest.approx(-1.0 / math.sqrt(252.0), abs=1e-15)
+    out = normalize(_array([-0.02]), _array([0.02]))
+    assert out[0] == pytest.approx(-1.0 / math.sqrt(252.0), abs=1e-15)
 
 
-def test_normalize_zero_sigma_with_return_names_date():
-    with pytest.raises(DataError, match="2020-01-07"):
-        normalize(_returns([0.0, 0.01]), _vol([0.01, 0.0]))
+def test_normalize_zero_sigma_with_return_names_position():
+    with pytest.raises(DataError, match="at position 1$"):
+        normalize(_array([0.0, 0.01]), _array([0.01, 0.0]))
 
 
 def test_normalize_zero_sigma_zero_return_passes():
-    out = normalize(_returns([0.0, 0.01]), _vol([0.0, 0.01]))
-    assert out.values.tolist()[0] == 0.0
-
-
-def test_normalize_misaligned_dates():
-    with pytest.raises(DataError, match="date indices"):
-        normalize(_returns([0.01]), _vol([0.01], start=date(2021, 1, 4)))
+    out = normalize(_array([0.0, 0.01]), _array([0.0, 0.01]))
+    assert out.tolist()[0] == 0.0
 
 
 # ----------------------------------------------------------- build_features
@@ -324,12 +323,19 @@ def dict_join_reference(model, series_by_role, decay=0.94, horizon_scaled=False)
     model = ModelId(model)
     roles = ("spx", "russell", "wti", "gold")[: int(model) + 1]
     column_maps, target_map = {}, {}
+    scale5 = math.sqrt(252.0 / 5.0) if horizon_scaled else math.sqrt(252.0)
     for role in roles:
-        n1, n5, r1 = _asset_columns(series_by_role[role], decay, horizon_scaled)
-        column_maps[(role, 1)] = dict(zip(n1.dates, n1.values))
-        column_maps[(role, 5)] = dict(zip(n5.dates, n5.values))
+        price = series_by_role[role]
+        r1 = log_returns(price, 1)
+        sigma = ewma_vol(r1, decay)
+        # the 5-day return on date t is normalized by the 1-day sigma of date t
+        sigma_on = dict(zip(price.dates[1:], sigma))
+        sigma5 = np.array([sigma_on[d] for d in price.dates[5:]])
+        n5 = normalize(log_returns(price, 5), sigma5, scale5)
+        column_maps[(role, 1)] = dict(zip(price.dates[1:], normalize(r1, sigma)))
+        column_maps[(role, 5)] = dict(zip(price.dates[5:], n5))
         if role == "spx":
-            target_map = dict(zip(r1.dates, r1.values))
+            target_map = dict(zip(price.dates[1:], r1))
     column_order = tuple((role, h) for role in roles for h in (1, 5))
     common = set(target_map)
     for col in column_order:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,7 +33,8 @@ def flatten(params):
 
 
 def finite_difference_grads(params, states, actions, targets, config, h=1e-5):
-    """Central differences on every parameter coordinate."""
+    """Central differences on every parameter coordinate, with dropout off."""
+    config = dataclasses.replace(config, dropout_rate=0.0)
     grads = NetParams(
         [np.zeros_like(w) for w in params.weights],
         [np.zeros_like(b) for b in params.biases],
@@ -45,9 +47,9 @@ def finite_difference_grads(params, states, actions, targets, config, h=1e-5):
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                up, _ = loss_and_grads(params, states, actions, targets, config, mode="eval")
+                up, _ = loss_and_grads(params, states, actions, targets, config)
                 arr[idx] = orig - h
-                down, _ = loss_and_grads(params, states, actions, targets, config, mode="eval")
+                down, _ = loss_and_grads(params, states, actions, targets, config)
                 arr[idx] = orig
                 out[idx] = (up - down) / (2 * h)
     return grads
@@ -197,7 +199,7 @@ def test_loss_zero_at_exact_targets():
     q = forward(params, x, config)
     actions = np.array([0, 1, 2, 0, 1, 2, 0])
     targets = q[np.arange(7), actions]
-    loss, grads = loss_and_grads(params, x, actions, targets, config, mode="eval")
+    loss, grads = loss_and_grads(params, x, actions, targets, config)
     assert loss == 0.0
     for g in grads.weights + grads.biases:
         assert np.all(g == 0.0)
@@ -213,7 +215,7 @@ def test_linear_fixture_gradient_closed_form():
     )
     x = np.array([[0.7, -0.3]])
     y = np.array([0.1])
-    loss, grads = loss_and_grads(params, x, np.array([0]), y, config, mode="eval")
+    loss, grads = loss_and_grads(params, x, np.array([0]), y, config)
     q = 0.7
     assert loss == pytest.approx((q - y[0]) ** 2, abs=1e-15)
     coeff = 2.0 * (q - y[0])
@@ -234,7 +236,7 @@ def test_gradients_match_finite_differences_spot():
         x = rng.normal(size=(4, config.input_dim))
         actions = rng.integers(0, 3, size=4)
         targets = rng.normal(size=4)
-        _, analytic = loss_and_grads(params, x, actions, targets, config, mode="eval")
+        _, analytic = loss_and_grads(params, x, actions, targets, config)
         numeric = finite_difference_grads(params, x, actions, targets, config)
         a, n = flatten(analytic), flatten(numeric)
         assert np.all(np.abs(a - n) <= 1e-8 + 1e-4 * np.maximum(np.abs(a), np.abs(n)))
@@ -250,8 +252,7 @@ def test_dropout_mask_applied_consistently_in_backward():
     ws.hidden(params, x)
     ws.train_q(params, rng_a)
     rng_b = np.random.default_rng(3)  # same mask again
-    _, grads = loss_and_grads(params, x, np.array([1]), np.array([0.5]), config,
-                              mode="train", rng=rng_b)
+    _, grads = loss_and_grads(params, x, np.array([1]), np.array([0.5]), config, rng=rng_b)
     dropped = ws.mask[0] == 0.0
     assert np.all(grads.weights[2][dropped, :] == 0.0)
 
@@ -262,16 +263,14 @@ def test_non_finite_intermediate_names_layer():
     params = init_params(NetConfig(input_dim=2, seed=0))
     params.weights[1][0, 0] = np.inf
     with pytest.raises(NumericsError, match="hidden layer 2"):
-        loss_and_grads(params, np.ones((1, 2)), np.array([0]), np.array([0.0]), config,
-                       mode="eval")
+        loss_and_grads(params, np.ones((1, 2)), np.array([0]), np.array([0.0]), config)
 
 
 def test_non_finite_targets_rejected():
     config = NetConfig(input_dim=2, dropout_rate=0.0)
     params = init_params(NetConfig(input_dim=2, seed=0))
     with pytest.raises(NumericsError, match="targets"):
-        loss_and_grads(params, np.ones((1, 2)), np.array([0]), np.array([np.nan]), config,
-                       mode="eval")
+        loss_and_grads(params, np.ones((1, 2)), np.array([0]), np.array([np.nan]), config)
 
 
 def test_activity_penalty_strictly_positive():
@@ -281,9 +280,8 @@ def test_activity_penalty_strictly_positive():
     x = np.array([[0.5, -0.4]])
     q = forward(params, x, base)
     assert np.any(q != 0.0)  # some activation is live
-    plain, _ = loss_and_grads(params, x, np.array([0]), np.array([0.3]), base, mode="eval")
-    with_penalty, _ = loss_and_grads(params, x, np.array([0]), np.array([0.3]), penalized,
-                                     mode="eval")
+    plain, _ = loss_and_grads(params, x, np.array([0]), np.array([0.3]), base)
+    with_penalty, _ = loss_and_grads(params, x, np.array([0]), np.array([0.3]), penalized)
     assert with_penalty > plain
 
 
@@ -293,10 +291,10 @@ def test_loss_mean_reduction_batch_invariant():
     x = np.array([[0.3, -0.2]])
     actions = np.array([2])
     targets = np.array([0.4])
-    loss1, grads1 = loss_and_grads(params, x, actions, targets, config, mode="eval")
+    loss1, grads1 = loss_and_grads(params, x, actions, targets, config)
     loss4, grads4 = loss_and_grads(
         params, np.repeat(x, 4, axis=0), np.repeat(actions, 4), np.repeat(targets, 4),
-        config, mode="eval",
+        config,
     )
     assert loss4 == pytest.approx(loss1, rel=1e-12)
     for g1, g4 in zip(grads1.weights, grads4.weights):
