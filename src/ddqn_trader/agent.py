@@ -239,7 +239,7 @@ def select_action(
         if rng is None:
             raise ValueError("epsilon > 0 requires an rng")
         if rng.random() < epsilon:
-            return Action(int(rng.integers(0, 3)))
+            return Action(int(rng.integers(0, len(Action))))
     obs = np.asarray(observation, dtype=np.float64).reshape(1, -1)
     q = net.forward(agent.online, obs, agent.config.net)
     return Action(int(np.argmax(q[0])))
@@ -273,7 +273,7 @@ class _FramePass:
             np.empty(batch, dtype=np.intp) for _ in range(6))
         self.rewards = np.empty(batch)
         self.dones = np.empty(batch, dtype=bool)
-        self.q = np.empty((batch, config.output_dim))
+        self.q = np.empty((batch, len(Action)))
 
     def targets(self, online: NetParams, target: NetParams, gamma: float) -> np.ndarray:
         """Double-Q targets of the batch loaded into ``rows``, ``rewards`` and

@@ -34,7 +34,7 @@ ANNUALIZATION = math.sqrt(252.0)
 DEFAULT_EWMA_DECAY = 0.94  # RiskMetrics daily convention
 EWMA_SEED_WINDOW = 20
 VALID_HORIZONS = (1, 5)
-FRAME_CSV_BLOCK_ROWS = 512  # rows rendered per write in write_frame_csv
+FRAME_CSV_BLOCK_ROWS = 512  # rows per block of write_frame_csv and read_frame_csv
 
 TRADED_ASSET = "spx"
 
@@ -172,8 +172,8 @@ def load_csv(path, asset_id: str | None = None) -> PriceSeries:
     """Parse a ``date,close`` CSV into a PriceSeries.
 
     Rows whose date or close cannot be parsed are dropped and counted in
-    ``drop_count``. Rows come back sorted by date; duplicate dates are a hard
-    error naming the offending date.
+    ``drop_count``. Rows come back sorted by date; a duplicate date or a
+    non-positive close is a hard error naming the file and the date.
     """
     path = str(path)
     if asset_id is None:
@@ -210,12 +210,12 @@ def load_csv(path, asset_id: str | None = None) -> PriceSeries:
     if not rows:
         raise DataError(f"{path}: no valid rows")
     rows.sort(key=lambda r: r[0])
-    for (d1, _), (d2, _) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise DataError(f"{path}: duplicate date {d2.isoformat()}")
     dates = tuple(r[0] for r in rows)
     closes = np.array([r[1] for r in rows])
-    return PriceSeries(asset_id, dates, closes, drop_count=dropped)
+    try:
+        return PriceSeries(asset_id, dates, closes, drop_count=dropped)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def log_returns(series: PriceSeries, horizon: int) -> np.ndarray:
@@ -425,13 +425,34 @@ def write_frame_csv(frame: FeatureFrame, path) -> None:
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
+def _convert_rows(path, rows: list, line_nums: list, dates: list, blocks: list) -> None:
+    """Append a block of frame rows to ``dates`` and, as one column-major array
+    (feature 0 of every row, ..., then the targets), to ``blocks``. A bad cell
+    is reported for the block's first bad line, as a line-by-line read would."""
+    if not rows:
+        return
+    by_column = list(zip(*rows))
+    try:
+        dates.extend(map(date.fromisoformat, by_column[0]))
+        cells = np.array(list(map(float, itertools.chain.from_iterable(by_column[1:]))))
+    except ValueError:
+        for line_num, raw in zip(line_nums, rows):
+            try:
+                date.fromisoformat(raw[0])
+                list(map(float, raw[1:]))
+            except ValueError as exc:
+                raise DataError(f"{path}: line {line_num}: {exc}") from None
+        raise
+    blocks.append(cells.reshape(len(by_column) - 1, len(rows)))
+
+
 def read_frame_csv(path, model_id: ModelId | int = ModelId.M0) -> FeatureFrame:
     """Read a frame written by :func:`write_frame_csv`.
 
     Column identities are reconstructed from the model's fixed role/horizon
     layout, so the width in the file must match the model. Cells are converted
-    column by column; a bad cell is reported for the first bad line in file
-    order, as a line-by-line read would.
+    column by column, one block of ``FRAME_CSV_BLOCK_ROWS`` rows at a time; a
+    bad cell or row width is reported for the first bad line in file order.
     """
     model = ModelId(model_id)
     try:
@@ -451,37 +472,24 @@ def read_frame_csv(path, model_id: ModelId | int = ModelId.M0) -> FeatureFrame:
             raise DataError(
                 f"{path}: {n_feat} feature columns but {model.name} expects {model.n_features}"
             )
-        rows, line_nums = [], []
-        width_error = None  # raised once the rows before it are known to parse
+        dates, blocks, rows, line_nums = [], [], [], []
         for raw in reader:
             if not raw:
                 continue
             if len(raw) != len(header):
-                width_error = DataError(
+                _convert_rows(path, rows, line_nums, dates, blocks)  # bad cells before it first
+                raise DataError(
                     f"{path}: line {reader.line_num}: {len(raw)} cells, header has {len(header)}"
                 )
-                break
             rows.append(raw)
             line_nums.append(reader.line_num)
-    if rows:
-        by_column = list(zip(*rows))
-        try:
-            dates = tuple(map(date.fromisoformat, by_column[0]))
-            # column-major: feature 0 of every row, ..., then the targets
-            cells = np.array(list(map(float, itertools.chain.from_iterable(by_column[1:]))))
-            cells = cells.reshape(n_feat + 1, len(rows))
-        except ValueError:
-            for line_num, raw in zip(line_nums, rows):
-                try:
-                    date.fromisoformat(raw[0])
-                    list(map(float, raw[1:]))
-                except ValueError as exc:
-                    raise DataError(f"{path}: line {line_num}: {exc}") from None
-            raise
-    if width_error is not None:
-        raise width_error
-    if not rows:
+            if len(rows) == FRAME_CSV_BLOCK_ROWS:
+                _convert_rows(path, rows, line_nums, dates, blocks)
+                rows, line_nums = [], []
+        _convert_rows(path, rows, line_nums, dates, blocks)
+    if not dates:
         raise DataError(f"{path}: no data rows")
+    cells = np.concatenate(blocks, axis=1)
     columns = tuple((role, h) for role in MODEL_ROLES[model] for h in (1, 5))
     try:
         return FeatureFrame(model, dates, columns, cells[:-1].T, cells[-1])

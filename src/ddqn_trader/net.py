@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, NumericsError
+from .env import Action
+from .errors import ConfigError, NumericsError
 
 # Adam's moment decay rates and denominator epsilon (Kingma & Ba's defaults).
 # Constants, not settings: checkpoints hold only m, v and t.
@@ -42,16 +43,14 @@ EVAL_BLOCK_ROWS = 128
 class NetConfig:
     input_dim: int
     hidden_dims: tuple[int, int] = (64, 64)
-    output_dim: int = 3
     dropout_rate: float = 0.1
     l2_activity: float = 1e-6
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         if len(self.hidden_dims) != 2:
             raise ConfigError(f"exactly two hidden layers supported, got {self.hidden_dims}")
-        if min(self.input_dim, *self.hidden_dims, self.output_dim) < 1:
+        if min(self.input_dim, *self.hidden_dims) < 1:
             raise ConfigError("all layer dims must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
@@ -60,8 +59,9 @@ class NetConfig:
 
     @property
     def layer_shapes(self) -> tuple[tuple[int, int], ...]:
+        """[in, out] of each layer; the output layer has one unit per :class:`Action`."""
         h1, h2 = self.hidden_dims
-        return ((self.input_dim, h1), (h1, h2), (h2, self.output_dim))
+        return ((self.input_dim, h1), (h1, h2), (h2, len(Action)))
 
 
 class NetParams:
@@ -111,16 +111,13 @@ def param_count(config: NetConfig) -> int:
     return sum(i * o + o for i, o in config.layer_shapes)
 
 
-def init_params(config: NetConfig, rng: np.random.Generator | None = None) -> NetParams:
-    """He-uniform weights scaled by fan-in, zero biases; deterministic per seed."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    weights, biases = [], []
-    for fan_in, fan_out in config.layer_shapes:
-        limit = math.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return NetParams(weights, biases)
+def init_params(config: NetConfig, rng: np.random.Generator) -> NetParams:
+    """He-uniform weights scaled by fan-in, drawn from ``rng`` layer by layer; zero biases."""
+    params = NetParams.from_flat(np.zeros(param_count(config)), config.layer_shapes)
+    for w in params.weights:
+        limit = math.sqrt(6.0 / len(w))  # len(w) is the fan-in
+        w[:] = rng.uniform(-limit, limit, size=w.shape)
+    return params
 
 
 def init_adam(config: NetConfig) -> AdamState:
@@ -186,13 +183,13 @@ class Workspace:
         self.x = np.empty((batch, config.input_dim))
         self.a1 = np.empty((batch, h1))
         self.a2 = np.empty((batch, h2))
-        self.q = np.empty((batch, config.output_dim))
+        self.q = np.empty((batch, len(Action)))
         self.dz1 = np.empty((batch, h1))
         self.dz2 = np.empty((batch, h2))
-        self.dq = np.empty((batch, config.output_dim))
+        self.dq = np.empty((batch, len(Action)))
         self._mask = np.empty((batch, h2))
         self._scratch = np.empty(batch * max(h1, h2))  # dropped-out a2, then L2 terms
-        self._flags = np.empty(batch * max(h1, h2, config.output_dim), dtype=bool)
+        self._flags = np.empty(batch * max(h1, h2, len(Action)), dtype=bool)
         self.grads = NetParams.from_flat(np.empty(param_count(config)), config.layer_shapes)
         self.rows = 0  # train rows of the last hidden pass or take
         self.mask: np.ndarray | None = None  # dropout mask of the last train_q
@@ -377,26 +374,3 @@ def adam_step(
     step /= denom
     params.flat -= step
     return params, state
-
-
-def params_to_dict(params: NetParams) -> dict:
-    """Flat per-layer arrays in layer order; JSON float repr round-trips bit-exactly."""
-    return {
-        "weights": [w.flatten().tolist() for w in params.weights],
-        "biases": [b.tolist() for b in params.biases],
-    }
-
-
-def params_from_dict(d: dict, config: NetConfig) -> NetParams:
-    layers = len(config.layer_shapes)
-    if len(d["weights"]) != layers or len(d["biases"]) != layers:
-        raise CheckpointError(f"expected {layers} weight and bias blocks, got "
-                              f"{len(d['weights'])} and {len(d['biases'])}")
-    weights, biases = [], []
-    for shape, flat, bias in zip(config.layer_shapes, d["weights"], d["biases"]):
-        w = np.array(flat, dtype=np.float64)
-        if w.size != shape[0] * shape[1] or len(bias) != shape[1]:
-            raise CheckpointError(f"parameter block does not match layer shape {shape}")
-        weights.append(w.reshape(shape))
-        biases.append(np.array(bias, dtype=np.float64))
-    return NetParams(weights, biases)

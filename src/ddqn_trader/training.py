@@ -32,7 +32,7 @@ from .env import EnvConfig, TradingEnv
 from .errors import CheckpointError, ConfigError, NumericsError
 from .seeding import rng_streams
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Optional policy hook: maps (observation, rng) to an action code. Lets the
 # harness drive scripted baselines (random agent, constant positions) through
@@ -195,21 +195,13 @@ def save_checkpoint(agent: Agent, path) -> None:
     collection from an empty buffer.
     """
     cfg = agent.config
-    m = net.params_to_dict(net.NetParams.from_flat(agent.adam.m, cfg.net.layer_shapes))
-    v = net.params_to_dict(net.NetParams.from_flat(agent.adam.v, cfg.net.layer_shapes))
     record = {
         "version": CHECKPOINT_VERSION,
         "net_config": asdict(cfg.net),
         "agent_config": {key: value for key, value in asdict(cfg).items() if key != "net"},
-        "online": net.params_to_dict(agent.online),
-        "target": net.params_to_dict(agent.target),
-        "adam": {
-            "m_weights": m["weights"],
-            "m_biases": m["biases"],
-            "v_weights": v["weights"],
-            "v_biases": v["biases"],
-            "t": agent.adam.t,
-        },
+        "online": agent.online.flat.tolist(),
+        "target": agent.target.flat.tolist(),
+        "adam": {"m": agent.adam.m.tolist(), "v": agent.adam.v.tolist(), "t": agent.adam.t},
         "gradient_steps": agent.gradient_steps,
     }
     with open(path, "w") as fh:
@@ -235,21 +227,24 @@ def _write_json(fh, value) -> None:
     fh.write("}")
 
 
-def _config_from_dict(cls, d: dict, **given):
-    """``cls(**d, **given)``, where ``d`` must hold exactly the fields not in ``given``,
-    so no dataclass default fills in for a key the checkpoint lacks."""
-    expected = {f.name for f in fields(cls)} - given.keys()
+def _exact_keys(what: str, d: dict, expected: set) -> dict:
+    """``d``, which must hold exactly the keys ``expected``: no default fills in
+    for a missing key, and no unknown key is ignored."""
     keys = set(d)
     if keys != expected:
-        raise CheckpointError(
-            f"{cls.__name__} keys: missing {sorted(expected - keys)}, "
-            f"unexpected {sorted(keys - expected)}"
-        )
-    return cls(**d, **given)
+        raise CheckpointError(f"{what} keys: missing {sorted(expected - keys)}, "
+                              f"unexpected {sorted(keys - expected)}")
+    return d
+
+
+def _config_from_dict(cls, d: dict, **given):
+    """``cls(**d, **given)``, where ``d`` must hold exactly the fields not in ``given``."""
+    return cls(**_exact_keys(cls.__name__, d, {f.name for f in fields(cls)} - given.keys()),
+               **given)
 
 
 def load_checkpoint(path, seed: int = 0) -> Agent:
-    """Rebuild an agent from a checkpoint.
+    """Rebuild an agent from what :func:`save_checkpoint` writes; reject anything else.
 
     RNG state is not checkpointed; replay/dropout streams are re-derived from
     ``seed``. The replay buffer starts empty.
@@ -259,38 +254,39 @@ def load_checkpoint(path, seed: int = 0) -> Agent:
             record = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot load checkpoint from {path}: {exc}") from exc
-    version = record.get("version")
-    if version != CHECKPOINT_VERSION:
+    version = record.get("version") if isinstance(record, dict) else None
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {version!r}, expected {CHECKPOINT_VERSION}"
         )
     try:
+        _exact_keys("checkpoint", record, {"version", "net_config", "agent_config", "online",
+                                           "target", "adam", "gradient_steps"})
+        adam = _exact_keys("adam", record["adam"], {"m", "v", "t"})
         net_config = _config_from_dict(net.NetConfig, record["net_config"])
         config = _config_from_dict(AgentConfig, record["agent_config"], net=net_config)
-        online = net.params_from_dict(record["online"], net_config)
-        target = net.params_from_dict(record["target"], net_config)
-        adam_rec = record["adam"]
-
-        def moment(k: str) -> np.ndarray:
-            blocks = {"weights": adam_rec[f"{k}_weights"], "biases": adam_rec[f"{k}_biases"]}
-            return net.params_from_dict(blocks, net_config).flat
-
-        adam = net.AdamState(moment("m"), moment("v"), t=int(adam_rec["t"]))
-        gradient_steps = int(record["gradient_steps"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n = net.param_count(net_config)
+        vectors = [np.array(record["online"]), np.array(record["target"]),
+                   np.array(adam["m"]), np.array(adam["v"])]
+        for name, flat in zip(("online", "target", "Adam m", "Adam v"), vectors):
+            if flat.dtype != np.float64 or flat.shape != (n,):
+                raise CheckpointError(f"{name} must be a list of {n} floats")
+            if not np.isfinite(flat).all():
+                raise CheckpointError(f"non-finite {name} values")
+        for name, count in (("adam.t", adam["t"]), ("gradient_steps", record["gradient_steps"])):
+            if type(count) is not int or count < 0:  # a bool is not an int here
+                raise CheckpointError(f"{name} must be an integer >= 0, got {json.dumps(count)}")
+        online, target = (net.NetParams.from_flat(v, net_config.layer_shapes) for v in vectors[:2])
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
-    for name, values in (("online", online.flat), ("target", target.flat),
-                         ("Adam m", adam.m), ("Adam v", adam.v)):
-        if not np.isfinite(values).all():
-            raise CheckpointError(f"corrupt checkpoint {path}: non-finite {name} values")
     streams = rng_streams(seed)
     return Agent(
         config=config,
         online=online,
         target=target,
-        adam=adam,
+        adam=net.AdamState(vectors[2], vectors[3], adam["t"]),
         buffer=ReplayBuffer(config.replay_capacity),
         replay_rng=streams["replay"],
         dropout_rng=streams["dropout"],
-        gradient_steps=gradient_steps,
+        gradient_steps=record["gradient_steps"],
     )

@@ -1,16 +1,22 @@
+import ast
+import dataclasses
 import inspect
 import json
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
 
+from ddqn_trader import cli
 from ddqn_trader.agent import Agent, AgentConfig, EpsilonSchedule
 from ddqn_trader.cli import CONFIG_KEYS, main
-from ddqn_trader.env import EnvConfig
+from ddqn_trader.env import CostModel, EnvConfig
 from ddqn_trader.market_data import ModelId, load_csv, read_frame_csv
 from ddqn_trader.net import NetConfig
 from ddqn_trader.training import TrainConfig, config_hash, config_snapshot, save_checkpoint
+
+from conftest import version_1_record, with_head
 
 SMOKE_CONFIG = """
 # desk-scale smoke setup
@@ -239,6 +245,42 @@ def test_evaluate_checkpoint_width_of_no_model_exit_code(workspace, capsys):
     assert not (ws / "ev").exists()
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda record: with_head(record, 5), "online must be a list of 4547 floats"),
+    (version_1_record, "unsupported checkpoint version 1, expected 2"),
+    (lambda record: dict(record, adam=dict(record["adam"], t=2.5)),
+     "adam.t must be an integer >= 0, got 2.5"),
+    (lambda record: dict(record, gradient_steps=-4), "gradient_steps must be an integer >= 0"),
+    (lambda record: dict(record, replay=[]),
+     r"checkpoint keys: missing \[\], unexpected \['replay'\]"),
+], ids=["head-5-wide", "version-1", "fractional-t", "negative-steps", "unknown-key"])
+def test_evaluate_rejected_checkpoint_exit_code(workspace, capsys, corrupt, message):
+    ws, config = workspace
+    prep = ws / "prep"
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    checkpoint = ws / "checkpoint.json"
+    save_checkpoint(Agent.create(AgentConfig(net=NetConfig(input_dim=2))), checkpoint)
+    checkpoint.write_text(json.dumps(corrupt(json.loads(checkpoint.read_text()))))
+    capsys.readouterr()
+    code = main(["evaluate", "--config", str(config), "--checkpoint", str(checkpoint),
+                 "--frame", str(prep / "test_frame.csv"), "--out", str(ws / "ev")])
+    assert code == 2
+    assert re.search(message, _one_error_line(capsys))
+    assert not (ws / "ev" / "report.json").exists()
+
+
+def test_prepare_zero_close_names_file(workspace, capsys):
+    tmp_path, config = workspace
+    spx = tmp_path / "spx.csv"
+    lines = spx.read_text().splitlines()
+    day = lines[3].split(",")[0]
+    lines[3] = f"{day},0.0"
+    spx.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "prep")]) == 2
+    assert _one_error_line(capsys) == f"error: {spx}: spx: non-positive close on {day}\n"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_divergence_exit_code(workspace):
     tmp_path, config = workspace
@@ -362,8 +404,7 @@ def test_evaluate_non_finite_q_values_exit_code(workspace, capsys):
     # finite weights that load, but whose Q-values overflow on every test day
     checkpoint = run / "checkpoint.json"
     record = json.loads(checkpoint.read_text())
-    for key in ("weights", "biases"):
-        record["online"][key] = [[v * 1e120 for v in layer] for layer in record["online"][key]]
+    record["online"] = [v * 1e120 for v in record["online"]]
     checkpoint.write_text(json.dumps(record))
     capsys.readouterr()
     code = main(["evaluate", "--config", str(config), "--checkpoint", str(checkpoint),
@@ -523,3 +564,28 @@ def test_config_keys_name_owner_fields_and_match_readme():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("## Config file", 1)[1].split("```")[1]
     assert sorted(re.findall(r"([\w.]+) = ", block)) == sorted(CONFIG_KEYS)
+
+
+# Config fields that no config key and no argument of cli.train_config sets, and
+# why each may stay unset from the CLI. Any other such field is a setting only
+# the tests can reach.
+CLI_UNSET_FIELDS = {
+    (NetConfig, "hidden_dims"): "criteria 02 and 03 check gradients and targets on small nets",
+    (EnvConfig, "start"): "criterion 05 pins episode starts",
+}
+
+
+def test_every_config_field_is_set_by_the_cli():
+    set_by_cli = {(owner, field) for _, owner, field in CONFIG_KEYS.values()}
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cli.train_config)))
+    for call in ast.walk(tree):  # the keyword arguments of each _build(Owner, values, ...)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_build":
+            owner = getattr(cli, call.args[0].id)
+            set_by_cli |= {(owner, keyword.arg) for keyword in call.keywords}
+    fields = {(cls, f.name)
+              for cls in (NetConfig, AgentConfig, EpsilonSchedule, CostModel, EnvConfig,
+                          TrainConfig)
+              for f in dataclasses.fields(cls)}
+    unset = fields - set_by_cli - CLI_UNSET_FIELDS.keys()
+    assert not unset, sorted(f"{cls.__name__}.{name}" for cls, name in unset)
+    assert CLI_UNSET_FIELDS.keys() <= fields - set_by_cli  # no stale exception

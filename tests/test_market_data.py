@@ -6,6 +6,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from ddqn_trader import market_data
 from ddqn_trader.errors import ConfigError, DataError
 from ddqn_trader.market_data import (
     FRAME_CSV_BLOCK_ROWS,
@@ -68,6 +69,14 @@ def test_load_csv_sorts_out_of_order_dates(tmp_path):
 def test_load_csv_duplicate_date_rejected(tmp_path):
     path = write_csv(tmp_path, "date,close\n2020-01-02,100.0\n2020-01-02,101.0\n")
     with pytest.raises(DataError, match="2020-01-02"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("close", ["0.0", "-1.5"])
+def test_load_csv_non_positive_close_names_file(tmp_path, close):
+    path = write_csv(tmp_path, f"date,close\n2020-01-02,100.0\n2020-01-03,{close}\n")
+    with pytest.raises(DataError, match="^" + re.escape(
+            f"{path}: prices: non-positive close on 2020-01-03") + "$"):
         load_csv(path)
 
 
@@ -571,6 +580,29 @@ def test_read_frame_csv_reports_first_bad_line(tmp_path, edits, message):
     frame = build_features(ModelId.M0, synth_map())
     path = tmp_path / "frame.csv"
     write_frame_csv(frame, path)
+    rewrite_lines(path, edits)
+    with pytest.raises(DataError, match=r"frame\.csv: " + message + "$"):
+        read_frame_csv(path, ModelId.M0)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("edits, message", [
+    # lines 2-4, 5-7, 8-10 and 11-13 form the blocks of 3 rows
+    ({(9, 2): "x1", (12, 1): "1,2"}, r"line 9: could not convert string to float: 'x1'"),
+    ({(9, 2): "1,2", (12, 1): "x2"}, r"line 9: 5 cells, header has 4"),
+    ({(11, 0): "someday", (13, 1): "x3", (8, 2): "x4"}, r"line 8: .*'x4'"),
+    ({(13, 3): "x5", (7, 0): "1,2"}, r"line 7: 5 cells, header has 4"),
+])
+def test_read_frame_csv_blocks_report_first_bad_line(tmp_path, monkeypatch, block_rows, edits,
+                                                     message):
+    monkeypatch.setattr(market_data, "FRAME_CSV_BLOCK_ROWS", block_rows)
+    frame = build_features(ModelId.M0, synth_map())
+    path = tmp_path / "frame.csv"
+    write_frame_csv(frame, path)
+    loaded = read_frame_csv(path, ModelId.M0)
+    assert loaded.dates == frame.dates
+    assert loaded.values.tobytes() == frame.values.tobytes()
+    assert loaded.target_returns.tobytes() == frame.target_returns.tobytes()
     rewrite_lines(path, edits)
     with pytest.raises(DataError, match=r"frame\.csv: " + message + "$"):
         read_frame_csv(path, ModelId.M0)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ddqn_trader.env import Action
 from ddqn_trader.errors import ConfigError, NumericsError
 from ddqn_trader.net import (
     EVAL_BLOCK_ROWS,
@@ -71,22 +72,30 @@ def test_param_count_formula():
 
 # -------------------------------------------------------------------- init
 
+def test_output_width_is_the_action_count():
+    fields = {f.name for f in dataclasses.fields(NetConfig)}
+    assert fields == {"input_dim", "hidden_dims", "dropout_rate", "l2_activity"}
+    assert NetConfig(input_dim=2, hidden_dims=(5, 7)).layer_shapes[-1] == (7, len(Action))
+    with pytest.raises(TypeError):
+        init_params(NetConfig(input_dim=2))  # the rng is required
+
+
 def test_init_deterministic_per_seed():
-    a = init_params(NetConfig(input_dim=2, seed=5))
-    b = init_params(NetConfig(input_dim=2, seed=5))
+    a = init_params(NetConfig(input_dim=2), np.random.default_rng(5))
+    b = init_params(NetConfig(input_dim=2), np.random.default_rng(5))
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
 
 def test_init_layer_shapes_and_zero_biases():
-    params = init_params(NetConfig(input_dim=2, seed=0))
+    params = init_params(NetConfig(input_dim=2), np.random.default_rng(0))
     assert [w.shape for w in params.weights] == [(2, 64), (64, 64), (64, 3)]
     for b in params.biases:
         assert np.all(b == 0.0)
 
 
 def test_init_he_uniform_bounds():
-    params = init_params(NetConfig(input_dim=8, seed=1))
+    params = init_params(NetConfig(input_dim=8), np.random.default_rng(1))
     for w, (fan_in, _) in zip(params.weights, NetConfig(input_dim=8).layer_shapes):
         limit = math.sqrt(6.0 / fan_in)
         assert np.all(np.abs(w) <= limit)
@@ -119,8 +128,8 @@ def test_forward_zero_net_outputs_zero():
 
 
 def test_forward_eval_deterministic():
-    config = NetConfig(input_dim=2, seed=3)
-    params = init_params(config)
+    config = NetConfig(input_dim=2)
+    params = init_params(config, np.random.default_rng(3))
     x = np.random.default_rng(1).normal(size=(5, 2))
     q1 = forward(params, x, config)
     q2 = forward(params, x, config)
@@ -130,8 +139,8 @@ def test_forward_eval_deterministic():
 @pytest.mark.parametrize("input_dim", [2, 4, 6, 8])
 def test_forward_eval_blocks_equal_one_pass(input_dim):
     # layers 1-2 run in blocks; their rows must not depend on the row count
-    config = NetConfig(input_dim=input_dim, seed=input_dim)
-    params = init_params(config)
+    config = NetConfig(input_dim=input_dim)
+    params = init_params(config, np.random.default_rng(input_dim))
     rng = np.random.default_rng(input_dim)
     for rows in (0, 1, 2, EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS + 1,
                  EVAL_BLOCK_ROWS + 2, 2 * EVAL_BLOCK_ROWS + 1, 749, 1000):
@@ -142,8 +151,8 @@ def test_forward_eval_blocks_equal_one_pass(input_dim):
 
 
 def test_forward_eval_empty_batch():
-    config = NetConfig(input_dim=2, seed=3)
-    q = forward(init_params(config), np.zeros((0, 2)), config)
+    config = NetConfig(input_dim=2)
+    q = forward(init_params(config, np.random.default_rng(3)), np.zeros((0, 2)), config)
     assert q.shape == (0, 3)
 
 
@@ -162,12 +171,12 @@ def test_forward_handcrafted_single_unit():
 def test_forward_shape_mismatch():
     config = NetConfig(input_dim=4)
     with pytest.raises(ValueError, match="states"):
-        forward(init_params(NetConfig(input_dim=4, seed=0)), np.zeros((3, 2)), config)
+        forward(init_params(config, np.random.default_rng(0)), np.zeros((3, 2)), config)
 
 
 def test_forward_train_dropout_masks():
-    config = NetConfig(input_dim=2, dropout_rate=0.5, seed=0)
-    params = init_params(config)
+    config = NetConfig(input_dim=2, dropout_rate=0.5)
+    params = init_params(config, np.random.default_rng(0))
     rng = np.random.default_rng(8)
     x = np.abs(np.random.default_rng(2).normal(size=(200, 2))) + 0.1
     ws = Workspace(config, len(x))  # the train-mode forward: hidden, then train_q
@@ -183,7 +192,7 @@ def test_forward_train_dropout_masks():
 
 def test_forward_train_without_rng_errors():
     config = NetConfig(input_dim=2, dropout_rate=0.5)
-    params = init_params(NetConfig(input_dim=2, seed=0))
+    params = init_params(NetConfig(input_dim=2), np.random.default_rng(0))
     ws = Workspace(config, 1)
     ws.hidden(params, np.zeros((1, 2)))
     with pytest.raises(ValueError, match="rng"):
@@ -193,8 +202,8 @@ def test_forward_train_without_rng_errors():
 # ----------------------------------------------------------- loss and grads
 
 def test_loss_zero_at_exact_targets():
-    config = NetConfig(input_dim=2, dropout_rate=0.0, l2_activity=0.0, seed=4)
-    params = init_params(config)
+    config = NetConfig(input_dim=2, dropout_rate=0.0, l2_activity=0.0)
+    params = init_params(config, np.random.default_rng(4))
     x = np.random.default_rng(5).normal(size=(7, 2))
     q = forward(params, x, config)
     actions = np.array([0, 1, 2, 0, 1, 2, 0])
@@ -230,7 +239,7 @@ def test_gradients_match_finite_differences_spot():
     for trial in range(5):
         config = NetConfig(
             input_dim=int(rng.choice([2, 4])), hidden_dims=(6, 5),
-            dropout_rate=0.0, l2_activity=float(rng.choice([0.0, 1e-4])), seed=trial,
+            dropout_rate=0.0, l2_activity=float(rng.choice([0.0, 1e-4])),
         )
         params = init_params(config, np.random.default_rng(trial))
         x = rng.normal(size=(4, config.input_dim))
@@ -245,7 +254,7 @@ def test_gradients_match_finite_differences_spot():
 def test_dropout_mask_applied_consistently_in_backward():
     # with a large dropout rate, gradients of dropped units through W3 are zero
     config = NetConfig(input_dim=2, hidden_dims=(4, 4), dropout_rate=0.5, l2_activity=0.0)
-    params = init_params(NetConfig(input_dim=2, hidden_dims=(4, 4), seed=2))
+    params = init_params(NetConfig(input_dim=2, hidden_dims=(4, 4)), np.random.default_rng(2))
     x = np.array([[0.4, 0.2]])
     rng_a = np.random.default_rng(3)
     ws = Workspace(config, 1)
@@ -260,7 +269,7 @@ def test_dropout_mask_applied_consistently_in_backward():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_intermediate_names_layer():
     config = NetConfig(input_dim=2, dropout_rate=0.0)
-    params = init_params(NetConfig(input_dim=2, seed=0))
+    params = init_params(NetConfig(input_dim=2), np.random.default_rng(0))
     params.weights[1][0, 0] = np.inf
     with pytest.raises(NumericsError, match="hidden layer 2"):
         loss_and_grads(params, np.ones((1, 2)), np.array([0]), np.array([0.0]), config)
@@ -268,15 +277,15 @@ def test_non_finite_intermediate_names_layer():
 
 def test_non_finite_targets_rejected():
     config = NetConfig(input_dim=2, dropout_rate=0.0)
-    params = init_params(NetConfig(input_dim=2, seed=0))
+    params = init_params(NetConfig(input_dim=2), np.random.default_rng(0))
     with pytest.raises(NumericsError, match="targets"):
         loss_and_grads(params, np.ones((1, 2)), np.array([0]), np.array([np.nan]), config)
 
 
 def test_activity_penalty_strictly_positive():
-    base = NetConfig(input_dim=2, dropout_rate=0.0, l2_activity=0.0, seed=6)
-    penalized = NetConfig(input_dim=2, dropout_rate=0.0, l2_activity=1e-6, seed=6)
-    params = init_params(base)
+    base = NetConfig(input_dim=2, dropout_rate=0.0, l2_activity=0.0)
+    penalized = NetConfig(input_dim=2, dropout_rate=0.0, l2_activity=1e-6)
+    params = init_params(base, np.random.default_rng(6))
     x = np.array([[0.5, -0.4]])
     q = forward(params, x, base)
     assert np.any(q != 0.0)  # some activation is live
@@ -286,8 +295,8 @@ def test_activity_penalty_strictly_positive():
 
 
 def test_loss_mean_reduction_batch_invariant():
-    config = NetConfig(input_dim=2, dropout_rate=0.0, l2_activity=1e-5, seed=9)
-    params = init_params(config)
+    config = NetConfig(input_dim=2, dropout_rate=0.0, l2_activity=1e-5)
+    params = init_params(config, np.random.default_rng(9))
     x = np.array([[0.3, -0.2]])
     actions = np.array([2])
     targets = np.array([0.4])
@@ -304,8 +313,8 @@ def test_loss_mean_reduction_batch_invariant():
 # -------------------------------------------------------------------- adam
 
 def test_adam_zero_grads_fixed_point():
-    config = NetConfig(input_dim=2, seed=0)
-    params = init_params(config)
+    config = NetConfig(input_dim=2)
+    params = init_params(config, np.random.default_rng(0))
     before = params.flat.copy()
     _, state = adam_step(params, zero_params(config), init_adam(config), lr=1e-3)
     assert np.array_equal(params.flat, before)
@@ -313,8 +322,8 @@ def test_adam_zero_grads_fixed_point():
 
 
 def test_adam_updates_its_inputs_in_place():
-    config = NetConfig(input_dim=2, seed=0)
-    params = init_params(config)
+    config = NetConfig(input_dim=2)
+    params = init_params(config, np.random.default_rng(0))
     flat, before = params.flat, params.flat.copy()
     state = init_adam(config)
     m, v = state.m, state.v
@@ -330,7 +339,7 @@ def test_adam_updates_its_inputs_in_place():
 
 def test_adam_first_step_closed_form():
     # first step: m_hat = g, v_hat = g^2, delta = -lr * g / (|g| + eps)
-    config = NetConfig(input_dim=1, hidden_dims=(1, 1), output_dim=3)
+    config = NetConfig(input_dim=1, hidden_dims=(1, 1))
     params = zero_params(config)
     params.weights[0][0, 0] = 1.0
     grads = zero_params(config)
@@ -343,7 +352,7 @@ def test_adam_first_step_closed_form():
 
 
 def test_adam_repeated_gradient_matches_scalar_simulation():
-    config = NetConfig(input_dim=1, hidden_dims=(1, 1), output_dim=3)
+    config = NetConfig(input_dim=1, hidden_dims=(1, 1))
     params = zero_params(config)
     params.weights[0][0, 0] = 2.0
     grads = zero_params(config)
@@ -367,8 +376,8 @@ def test_adam_repeated_gradient_matches_scalar_simulation():
 # -------------------------------------------------------------- clone / io
 
 def test_clone_is_independent():
-    config = NetConfig(input_dim=2, seed=11)
-    params = init_params(config)
+    config = NetConfig(input_dim=2)
+    params = init_params(config, np.random.default_rng(11))
     copy = params.clone()
     x = np.random.default_rng(0).normal(size=(4, 2))
     before = forward(copy, x, config)
@@ -378,8 +387,8 @@ def test_clone_is_independent():
 
 
 def test_clone_outputs_equal():
-    config = NetConfig(input_dim=4, seed=12)
-    params = init_params(config)
+    config = NetConfig(input_dim=4)
+    params = init_params(config, np.random.default_rng(12))
     x = np.random.default_rng(1).normal(size=(8, 4))
     q1 = forward(params, x, config)
     q2 = forward(params.clone(), x, config)

@@ -19,6 +19,8 @@ from ddqn_trader.training import (
     write_summary_json,
 )
 
+from conftest import version_1_record, with_head
+
 NO_COST = CostModel(0.0, 0.0)
 
 
@@ -223,60 +225,145 @@ def test_checkpoint_bytes_equal_streaming_json_dump(tmp_path):
     assert b"-0.0, 5e-324, 1e+16, 0.30000000000000004" in path.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A trained agent and the record its checkpoint holds."""
+    _, agent = run_training(small_config(trend_frame(), episodes=1))
+    path = tmp_path_factory.mktemp("saved") / "agent.json"
+    save_checkpoint(agent, path)
+    return agent, json.loads(path.read_text())
+
+
+def load_record(tmp_path, record):
+    path = tmp_path / "agent.json"
+    path.write_text(json.dumps(record))  # json writes the bare NaN token it also reads
+    return load_checkpoint(path)
+
+
+def test_checkpoint_layout_is_flat_vectors(saved):
+    agent, record = saved
+    assert record["version"] == 2
+    assert record["online"] == agent.online.flat.tolist()
+    assert record["target"] == agent.target.flat.tolist()
+    assert record["adam"] == {"m": agent.adam.m.tolist(), "v": agent.adam.v.tolist(),
+                              "t": agent.adam.t}
+    assert record["gradient_steps"] == agent.gradient_steps > 0
+    assert set(record["net_config"]) == {"input_dim", "hidden_dims", "dropout_rate",
+                                         "l2_activity"}
+
+
 @pytest.mark.parametrize("block", ["net_config", "agent_config"])
 @pytest.mark.parametrize("change", ["missing", "extra"])
-def test_checkpoint_config_key_mismatch_rejected(tmp_path, block, change):
-    # seed and warmup default to None, so a missing one must not load as None
-    _, agent = run_training(small_config(trend_frame(), episodes=1))
-    path = tmp_path / "agent.json"
-    save_checkpoint(agent, path)
-    record = json.loads(path.read_text())
+def test_checkpoint_config_key_mismatch_rejected(tmp_path, saved, block, change):
+    # dropout_rate and warmup have defaults, so a missing one must not load as the default
+    record = json.loads(json.dumps(saved[1]))
     if change == "missing":
-        key = "seed" if block == "net_config" else "warmup"
+        key = "dropout_rate" if block == "net_config" else "warmup"
         del record[block][key]
         expected = rf"missing \['{key}'\]"
     else:
         record[block]["momentum"] = 0.5
         expected = r"unexpected \['momentum'\]"
-    path.write_text(json.dumps(record))
     with pytest.raises(CheckpointError, match=expected):
-        load_checkpoint(path)
+        load_record(tmp_path, record)
 
 
-def test_checkpoint_version_mismatch(tmp_path):
-    _, agent = run_training(small_config(trend_frame(), episodes=1))
-    path = tmp_path / "agent.json"
-    save_checkpoint(agent, path)
-    record = json.loads(path.read_text())
-    record["version"] = 99
-    path.write_text(json.dumps(record))
+def test_checkpoint_version_mismatch(tmp_path, saved):
+    record = dict(saved[1], version=99)
     with pytest.raises(CheckpointError, match="version"):
+        load_record(tmp_path, record)
+
+
+def test_checkpoint_version_1_rejected(tmp_path, saved):
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1, expected 2"):
+        load_record(tmp_path, version_1_record(saved[1]))
+
+
+@pytest.mark.parametrize("width", [5, 2])
+@pytest.mark.parametrize("with_key", [False, True])
+def test_checkpoint_head_not_three_wide_rejected(tmp_path, saved, width, with_key):
+    record = with_head(saved[1], width)
+    if with_key:  # the head width is no config field
+        record["net_config"] = dict(record["net_config"], output_dim=width)
+    message = (r"unexpected \['output_dim'\]" if with_key
+               else "online must be a list of 4547 floats")
+    with pytest.raises(CheckpointError, match=message):
+        load_record(tmp_path, record)
+
+
+@pytest.mark.parametrize("counter", ["adam.t", "gradient_steps"])
+@pytest.mark.parametrize("value", [2.5, True, -4, "5", None, 2.0])
+def test_checkpoint_counter_must_be_non_negative_integer(tmp_path, saved, counter, value):
+    record = json.loads(json.dumps(saved[1]))
+    if counter == "adam.t":
+        record["adam"]["t"] = value
+    else:
+        record["gradient_steps"] = value
+    with pytest.raises(CheckpointError, match=rf"{counter} must be an integer >= 0, got "):
+        load_record(tmp_path, record)
+
+
+@pytest.mark.parametrize("block, key, change", [
+    (None, "gradient_steps", "missing"),
+    (None, "replay", "extra"),
+    ("adam", "t", "missing"),
+    ("adam", "beta1", "extra"),
+])
+def test_checkpoint_key_set_must_be_exact(tmp_path, saved, block, key, change):
+    record = json.loads(json.dumps(saved[1]))
+    target = record if block is None else record[block]
+    if change == "missing":
+        del target[key]
+    else:
+        target[key] = 0.9
+    what = "checkpoint" if block is None else block
+    expected = (rf"{what} keys: missing \['{key}'\], unexpected \[\]$" if change == "missing"
+                else rf"{what} keys: missing \[\], unexpected \['{key}'\]$")
+    with pytest.raises(CheckpointError, match=expected):
+        load_record(tmp_path, record)
+
+
+@pytest.mark.parametrize("values, message", [
+    (lambda flat: [flat[:128], flat[128:]], "inhomogeneous shape"),
+    (lambda flat: [flat[:128], flat[128:256]], "target must be a list of 4547 floats"),
+    (lambda flat: ["0.5"] + flat[1:], "target must be a list of 4547 floats"),
+    (lambda flat: [None] + flat[1:], "target must be a list of 4547 floats"),
+    (lambda flat: {"weights": flat}, "target must be a list of 4547 floats"),
+    (lambda flat: [0] * len(flat), "target must be a list of 4547 floats"),
+], ids=["ragged", "nested", "string", "null", "object", "integers"])
+def test_checkpoint_vector_must_be_flat_floats(tmp_path, saved, values, message):
+    record = dict(saved[1], target=values(saved[1]["target"]))
+    with pytest.raises(CheckpointError, match=message):
+        load_record(tmp_path, record)
+
+
+@pytest.mark.parametrize("change", [{"input_dim": 2.0}, {"hidden_dims": [64.0, 64]}])
+def test_checkpoint_non_integer_layer_width_rejected(tmp_path, saved, change):
+    record = dict(saved[1], net_config=dict(saved[1]["net_config"], **change))
+    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        load_record(tmp_path, record)
+
+
+def test_checkpoint_not_an_object_rejected(tmp_path):
+    path = tmp_path / "agent.json"
+    path.write_text("[2]")
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version None"):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize("block", ["online", "target", "adam"])
-def test_checkpoint_non_finite_rejected(tmp_path, block):
-    _, agent = run_training(small_config(trend_frame(), episodes=1))
-    path = tmp_path / "agent.json"
-    save_checkpoint(agent, path)
-    record = json.loads(path.read_text())
-    key = "v_biases" if block == "adam" else "weights"
-    record[block][key][0][0] = float("nan")
-    path.write_text(json.dumps(record))  # json writes the bare NaN token it also reads
+def test_checkpoint_non_finite_rejected(tmp_path, saved, block):
+    record = json.loads(json.dumps(saved[1]))
+    values = record["adam"]["v"] if block == "adam" else record[block]
+    values[-1] = float("nan")
     with pytest.raises(CheckpointError, match="non-finite"):
-        load_checkpoint(path)
+        load_record(tmp_path, record)
 
 
-def test_checkpoint_missing_layer_rejected(tmp_path):
-    _, agent = run_training(small_config(trend_frame(), episodes=1))
-    path = tmp_path / "agent.json"
-    save_checkpoint(agent, path)
-    record = json.loads(path.read_text())
-    record["target"]["weights"].pop()
-    record["target"]["biases"].pop()
-    path.write_text(json.dumps(record))
-    with pytest.raises(CheckpointError, match="blocks"):
-        load_checkpoint(path)
+def test_checkpoint_missing_layer_rejected(tmp_path, saved):
+    record = dict(saved[1], target=saved[1]["target"][: -(64 * 3 + 3)])
+    with pytest.raises(CheckpointError, match="target must be a list of 4547 floats"):
+        load_record(tmp_path, record)
 
 
 def test_checkpoint_corrupt_file(tmp_path):
