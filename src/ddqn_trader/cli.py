@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import os
 import re
 import sys
@@ -49,6 +48,7 @@ from .net import NetConfig
 from .outputs import write_all
 from .training import (
     TrainConfig,
+    from_record,
     load_checkpoint,
     run_training,
     save_checkpoint,
@@ -282,45 +282,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# report.json field -> what its value must be
-REPORT_FIELDS = {
-    "model": "a string",
-    "e_r": "a finite number",
-    "std_r": "a finite number",
-    "sharpe": "a finite number or null",
-    "mse": "a finite number",
-    "accuracy": "a finite number",
-    "n_days": "an integer",
-}
-
-
-def _report_row(path: str, i: int, row: dict) -> PerformanceReport:
-    """Row ``i`` of a report.json as a PerformanceReport, each field's type
-    checked, since ``render_report_json`` writes the values as they are."""
-    values = {}
-    for field, expected in REPORT_FIELDS.items():
-        if field not in row:
-            raise DataError(f"{path}: row {i} lacks field {field!r}")
-        value = row[field]
-        if field == "model":
-            ok = isinstance(value, str)
-        elif field == "n_days":
-            ok = type(value) is int  # not a bool
-        elif value is None:
-            ok = field == "sharpe"
-        else:
-            try:
-                ok = type(value) in (int, float) and math.isfinite(value)
-            except OverflowError:  # an integer beyond the float range
-                ok = False
-        if not ok:
-            shown = json.dumps(value)
-            shown = shown if len(shown) <= 40 else shown[:37] + "..."
-            raise DataError(f"{path}: row {i} field {field!r} must be {expected}, got {shown}")
-        values[field] = value
-    return PerformanceReport(**values)
-
-
 def cmd_report(args) -> int:
     rows: dict[str, PerformanceReport] = {}
     for path in args.inputs:
@@ -332,9 +293,7 @@ def cmd_report(args) -> int:
         if not isinstance(data, list):
             raise DataError(f"{path}: expected a list of report rows, got {type(data).__name__}")
         for i, row in enumerate(data):
-            if not isinstance(row, dict):
-                raise DataError(f"{path}: row {i} is not an object")
-            report = _report_row(path, i, row)
+            report = from_record(PerformanceReport, row, f"{path}: row {i}")
             rows.setdefault(report.model, report)
     if not rows:
         raise DataError("no report rows found in inputs")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,10 @@ class PerformanceReport:
     mse: float
     accuracy: float
     n_days: int
+
+
+# (field, type) of each PerformanceReport field, in name order
+_REPORT_TYPES = sorted(typing.get_type_hints(PerformanceReport).items())
 
 
 def run_backtest(agent: Agent, frame: FeatureFrame, costs: CostModel) -> BacktestResult:
@@ -208,36 +213,31 @@ def market_report(result: BacktestResult, oracle: np.ndarray) -> PerformanceRepo
     return PerformanceReport("market", e_r, std_r, sharpe, mse, accuracy, len(oracle))
 
 
-def _fmt(x: float | None) -> str:
-    return "null" if x is None else f"{x:.6f}"
-
-
 def render_report_json(reports: list[PerformanceReport]) -> str:
-    """Deterministic JSON: sorted keys, fixed 6-decimal numbers.
+    """Deterministic JSON: one line per report, its fields in name order, a
+    string quoted, an integer bare and any other number with 6 decimals.
 
     Raises NumericsError on a non-finite metric, which JSON cannot hold.
     """
-    lines = ["["]
-    for i, r in enumerate(reports):
-        for key in ("accuracy", "e_r", "mse", "sharpe", "std_r"):
-            value = getattr(r, key)
-            if value is not None and not math.isfinite(value):
-                raise NumericsError(f"non-finite {key} ({value}) in the report of {r.model}")
-        sep = "," if i < len(reports) - 1 else ""
-        lines.append(
-            "  {"
-            + f'"accuracy": {_fmt(r.accuracy)}, '
-            + f'"e_r": {_fmt(r.e_r)}, '
-            + f'"model": {json.dumps(r.model)}, '
-            + f'"mse": {_fmt(r.mse)}, '
-            + f'"n_days": {r.n_days}, '
-            + f'"sharpe": {_fmt(r.sharpe)}, '
-            + f'"std_r": {_fmt(r.std_r)}'
-            + "}"
-            + sep
-        )
-    lines.append("]")
-    return "\n".join(lines) + "\n"
+    lines = []
+    for r in reports:
+        cells = []
+        for name, kind in _REPORT_TYPES:
+            value = getattr(r, name)
+            if kind is str:
+                text = json.dumps(value)
+            elif kind is int:
+                text = str(value)
+            elif value is None:
+                text = "null"
+            elif math.isfinite(value):
+                text = f"{value:.6f}"
+            else:
+                raise NumericsError(f"non-finite {name} ({value}) in the report of {r.model}")
+            cells.append(f'"{name}": {text}')
+        lines.append("  {" + ", ".join(cells) + "}")
+    rows = ",\n".join(lines)
+    return f"[\n{rows}\n]\n" if rows else "[\n]\n"
 
 
 def emit_report(

@@ -104,7 +104,6 @@ class FeatureFrame:
 
     model_id: ModelId
     dates: tuple[date, ...]
-    columns: tuple[tuple[str, int], ...]
     values: np.ndarray
     target_returns: np.ndarray
 
@@ -114,23 +113,17 @@ class FeatureFrame:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "target_returns", target)
         object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "columns", tuple(tuple(c) for c in self.columns))
         object.__setattr__(self, "model_id", ModelId(self.model_id))
         n = len(self.dates)
-        if values.shape != (n, len(self.columns)):
-            raise DataError(f"feature matrix shape {values.shape} != ({n}, {len(self.columns)})")
+        if values.shape != (n, self.n_features):
+            raise DataError(f"feature matrix shape {values.shape} != ({n}, {self.n_features})")
         if target.shape != (n,):
             raise DataError(f"target_returns shape {target.shape} != ({n},)")
-        if len(self.columns) != self.model_id.n_features:
-            raise DataError(
-                f"{self.model_id.name} expects {self.model_id.n_features} features, "
-                f"got {len(self.columns)}"
-            )
         if n and (not np.all(np.isfinite(values)) or not np.all(np.isfinite(target))):
             # first bad cell in row-major order, the order of the frame's CSV
             bad = ~np.isfinite(np.column_stack([values, target]))
             i, j = divmod(int(np.argmax(bad)), bad.shape[1])
-            column = ("target_return" if j == len(self.columns)
+            column = ("target_return" if j == self.n_features
                       else f"f{j} ({self.columns[j][0]} {self.columns[j][1]}d)")
             raise DataError(f"feature frame contains non-finite values: first on "
                             f"{self.dates[i]} in column {column}")
@@ -144,7 +137,13 @@ class FeatureFrame:
 
     @property
     def n_features(self) -> int:
-        return len(self.columns)
+        return self.model_id.n_features
+
+    @property
+    def columns(self) -> tuple[tuple[str, int], ...]:
+        """(role, horizon) of each feature column: each of the model's roles
+        from ``MODEL_ROLES``, its 1-day and then its 5-day return."""
+        return tuple((role, h) for role in MODEL_ROLES[self.model_id] for h in (1, 5))
 
     def summary(self) -> dict:
         """Row count and ISO first and last dates, as the JSON outputs record them."""
@@ -294,8 +293,7 @@ def build_features(
     if missing:
         raise DataError(f"{model.name}: missing price series for {', '.join(missing)}")
     scale5 = math.sqrt(252.0 / 5.0) if horizon_scaled else ANNUALIZATION
-    # each column as (date ordinals, values)
-    column_order = tuple((role, h) for role in roles for h in (1, 5))
+    # each column as (date ordinals, values), in the order of FeatureFrame.columns
     columns: list[tuple[np.ndarray, np.ndarray]] = []
     for role in roles:
         price = series_by_role[role]
@@ -318,7 +316,7 @@ def build_features(
     rows = np.searchsorted(target_days, common)
     dates = tuple(target_dates[i] for i in rows.tolist())
     target = target_values[rows]
-    return FeatureFrame(model, dates, column_order, values, target)
+    return FeatureFrame(model, dates, values, target)
 
 
 def split(frame: FeatureFrame, spec: SplitSpec) -> tuple[FeatureFrame, FeatureFrame]:
@@ -346,7 +344,6 @@ def split(frame: FeatureFrame, spec: SplitSpec) -> tuple[FeatureFrame, FeatureFr
         return FeatureFrame(
             frame.model_id,
             tuple(frame.dates[i] for i in idx),
-            frame.columns,
             frame.values[idx],
             frame.target_returns[idx],
         )
@@ -490,8 +487,7 @@ def read_frame_csv(path, model_id: ModelId | int = ModelId.M0) -> FeatureFrame:
     if not dates:
         raise DataError(f"{path}: no data rows")
     cells = np.concatenate(blocks, axis=1)
-    columns = tuple((role, h) for role in MODEL_ROLES[model] for h in (1, 5))
     try:
-        return FeatureFrame(model, dates, columns, cells[:-1].T, cells[-1])
+        return FeatureFrame(model, dates, cells[:-1].T, cells[-1])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

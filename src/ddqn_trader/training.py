@@ -10,8 +10,11 @@ any non-winning episode), otherwise it runs all episodes.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
+import sys
+import typing
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
@@ -29,7 +32,7 @@ from .agent import (
     train_step,
 )
 from .env import EnvConfig, TradingEnv
-from .errors import CheckpointError, ConfigError, NumericsError
+from .errors import CheckpointError, ConfigError, DataError, NumericsError
 from .seeding import rng_streams
 
 CHECKPOINT_VERSION = 2
@@ -227,20 +230,61 @@ def _write_json(fh, value) -> None:
     fh.write("}")
 
 
-def _exact_keys(what: str, d: dict, expected: set) -> dict:
-    """``d``, which must hold exactly the keys ``expected``: no default fills in
-    for a missing key, and no unknown key is ignored."""
+def _exact_keys(what: str, d, expected: set) -> dict:
+    """``d``, which must be an object holding exactly the keys ``expected``: no
+    default fills in for a missing key, and no unknown key is ignored."""
+    if not isinstance(d, dict):
+        raise DataError(f"{what} is not an object")
     keys = set(d)
     if keys != expected:
-        raise CheckpointError(f"{what} keys: missing {sorted(expected - keys)}, "
-                              f"unexpected {sorted(keys - expected)}")
+        raise DataError(f"{what} keys: missing {sorted(expected - keys)}, "
+                        f"unexpected {sorted(keys - expected)}")
     return d
 
 
-def _config_from_dict(cls, d: dict, **given):
-    """``cls(**d, **given)``, where ``d`` must hold exactly the fields not in ``given``."""
-    return cls(**_exact_keys(cls.__name__, d, {f.name for f in fields(cls)} - given.keys()),
-               **given)
+# field annotation -> (check of a JSON value, what the value must be). A bool
+# is no int here, although Python makes it one; NaN, an infinity and an
+# integer past the float range all fail the bound on a number.
+_RECORD_TYPES = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+            "a finite number"),
+    str: (lambda v: type(v) is str, "a string"),
+    tuple[int, int]: (lambda v: type(v) is list and len(v) == 2
+                      and all(type(x) is int for x in v), "a list of two integers"),
+}
+
+
+def record_type(annotation) -> tuple[Callable[[object], bool], str]:
+    """The check and its wording for a field annotated ``annotation``: one of
+    ``_RECORD_TYPES``, or such a type ``| None``, which also takes null."""
+    args = typing.get_args(annotation)
+    if type(None) in args:
+        (inner,) = (arg for arg in args if arg is not type(None))
+        check, expected = _RECORD_TYPES[inner]
+        return (lambda v: v is None or check(v)), f"{expected} or null"
+    return _RECORD_TYPES[annotation]
+
+
+_type_hints = functools.cache(typing.get_type_hints)  # ~0.1 ms a class uncached
+
+
+def from_record(cls, record, what: str, **given):
+    """``cls(**record, **given)``, where ``record``, a JSON object, must hold
+    exactly the fields not in ``given``, each of the type its annotation names.
+
+    Raises DataError naming ``what`` and the first bad field.
+    """
+    hints = _type_hints(cls)
+    names = [f.name for f in fields(cls) if f.name not in given]
+    _exact_keys(what, record, set(names))
+    for name in names:
+        check, expected = record_type(hints[name])
+        if not check(record[name]):
+            shown = json.dumps(record[name])
+            shown = shown if len(shown) <= 40 else shown[:37] + "..."
+            raise DataError(f"{what} field {name!r} must be {expected}, got {shown}")
+    return cls(**record, **given)
 
 
 def load_checkpoint(path, seed: int = 0) -> Agent:
@@ -263,16 +307,22 @@ def load_checkpoint(path, seed: int = 0) -> Agent:
         _exact_keys("checkpoint", record, {"version", "net_config", "agent_config", "online",
                                            "target", "adam", "gradient_steps"})
         adam = _exact_keys("adam", record["adam"], {"m", "v", "t"})
-        net_config = _config_from_dict(net.NetConfig, record["net_config"])
-        config = _config_from_dict(AgentConfig, record["agent_config"], net=net_config)
+        net_config = from_record(net.NetConfig, record["net_config"], "net_config")
+        config = from_record(AgentConfig, record["agent_config"], "agent_config",
+                             net=net_config)
         n = net.param_count(net_config)
-        vectors = [np.array(record["online"]), np.array(record["target"]),
-                   np.array(adam["m"]), np.array(adam["v"])]
-        for name, flat in zip(("online", "target", "Adam m", "Adam v"), vectors):
-            if flat.dtype != np.float64 or flat.shape != (n,):
+        vectors = []
+        for name, values in (("online", record["online"]), ("target", record["target"]),
+                             ("Adam m", adam["m"]), ("Adam v", adam["v"])):
+            try:
+                flat = np.array(values)
+            except ValueError:  # a ragged nesting of lists
+                flat = None
+            if flat is None or flat.dtype != np.float64 or flat.shape != (n,):
                 raise CheckpointError(f"{name} must be a list of {n} floats")
             if not np.isfinite(flat).all():
                 raise CheckpointError(f"non-finite {name} values")
+            vectors.append(flat)
         for name, count in (("adam.t", adam["t"]), ("gradient_steps", record["gradient_steps"])):
             if type(count) is not int or count < 0:  # a bool is not an int here
                 raise CheckpointError(f"{name} must be an integer >= 0, got {json.dumps(count)}")

@@ -24,8 +24,7 @@ def make_frame(target_returns, values=None, model=ModelId.M0, start=date(2020, 1
     k = ModelId(model).n_features
     if values is None:
         values = np.random.default_rng(0).normal(scale=0.05, size=(n, k))
-    columns = tuple((f"a{i}", h) for i in range(k // 2) for h in (1, 5))
-    return FeatureFrame(ModelId(model), weekdays(start, n), columns, np.asarray(values), targets)
+    return FeatureFrame(ModelId(model), weekdays(start, n), np.asarray(values), targets)
 
 
 @pytest.fixture

@@ -194,7 +194,7 @@ def test_buffer_size_grows_then_caps():
     assert len(buf) == 5
 
 
-def test_buffer_grows_past_initial_allocation():
+def test_buffer_ring_correct_across_slot_1024():
     buf = ReplayBuffer(capacity=5000, states=STATES)
     stored = [transition(reward=float(i), seed=i) for i in range(2000)]
     for item in stored:
@@ -202,7 +202,7 @@ def test_buffer_grows_past_initial_allocation():
     assert len(buf) == 2000
     rows, actions, rewards, dones = taken(buf, buf.draw(2000, np.random.default_rng(3)))
     slots = np.random.default_rng(3).integers(0, 2000, size=2000)  # draw's draws
-    assert slots.min() < 1024 <= slots.max()  # both sides of the first allocation
+    assert slots.min() < 1024 <= slots.max()  # both sides of slot 1024
     assert rewards.tolist() == slots.astype(float).tolist()
     assert rows.tolist() == [stored[slot][0] for slot in slots]
     assert actions.tolist() == [stored[slot][1] for slot in slots]

@@ -269,6 +269,38 @@ def test_evaluate_rejected_checkpoint_exit_code(workspace, capsys, corrupt, mess
     assert not (ws / "ev" / "report.json").exists()
 
 
+@pytest.mark.parametrize("block, field, value, expected", [
+    ("agent_config", "lr", True, "a finite number, got true"),
+    ("agent_config", "batch_size", True, "an integer, got true"),
+    ("net_config", "dropout_rate", False, "a finite number, got false"),
+    ("agent_config", "target_sync_every", 2.0, "an integer, got 2.0"),
+    ("agent_config", "gamma", "0.5", 'a finite number, got "0.5"'),
+    ("net_config", "hidden_dims", [64, 64.0], "a list of two integers, got [64, 64.0]"),
+    ("agent_config", "warmup", 2.5, "an integer or null, got 2.5"),
+    ("net_config", "l2_activity", float("nan"), "a finite number, got NaN"),
+    ("agent_config", "target_sync_unit", ["steps"] * 9,
+     'a string, got ["steps", "steps", "steps", "steps", ...'),  # cut to 40 chars
+], ids=["lr-true", "batch-true", "dropout-false", "sync-2.0", "gamma-string",
+        "hidden-float", "warmup-2.5", "l2-nan", "unit-list"])
+def test_evaluate_badly_typed_checkpoint_config_exit_code(workspace, capsys, block, field,
+                                                          value, expected):
+    ws, config = workspace
+    prep = ws / "prep"
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    checkpoint = ws / "checkpoint.json"
+    save_checkpoint(Agent.create(AgentConfig(net=NetConfig(input_dim=2))), checkpoint)
+    record = json.loads(checkpoint.read_text())
+    record[block][field] = value
+    checkpoint.write_text(json.dumps(record))
+    capsys.readouterr()
+    code = main(["evaluate", "--config", str(config), "--checkpoint", str(checkpoint),
+                 "--frame", str(prep / "test_frame.csv"), "--out", str(ws / "ev")])
+    assert code == 2
+    assert _one_error_line(capsys) == (
+        f"error: corrupt checkpoint {checkpoint}: {block} field '{field}' must be {expected}\n")
+    assert not (ws / "ev").exists()
+
+
 def test_prepare_zero_close_names_file(workspace, capsys):
     tmp_path, config = workspace
     spx = tmp_path / "spx.csv"
@@ -342,6 +374,16 @@ def test_report_badly_typed_field_exit_code(tmp_path, capsys, field, value):
     assert err.startswith(f"error: {path}: row 1 field '{field}' must be ")
     assert err.count("\n") == 1
     assert not (out / "report.json").exists()
+
+
+def test_report_unknown_field_exit_code(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps([{**GOOD_ROW, "momentum": 0.5}]))
+    out = tmp_path / "merged"
+    assert main(["report", "--out", str(out), str(path)]) == 2
+    assert _one_error_line(capsys) == (
+        f"error: {path}: row 0 keys: missing [], unexpected ['momentum']\n")
+    assert not out.exists()
 
 
 def test_report_undecodable_input_exit_code(tmp_path, capsys):

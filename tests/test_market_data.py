@@ -352,7 +352,7 @@ def dict_join_reference(model, series_by_role, decay=0.94, horizon_scaled=False)
     dates = tuple(sorted(common))
     values = np.array([[column_maps[c][d] for c in column_order] for d in dates])
     target = np.array([target_map[d] for d in dates])
-    return FeatureFrame(model, dates, column_order, values, target)
+    return FeatureFrame(model, dates, values, target)
 
 
 def drop_rows(series, rows):
@@ -511,7 +511,6 @@ def edge_frame(rows):
     edge = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -1.5e-300, 123456.789]
     cells = np.resize(np.array(edge), rows * 5).reshape(rows, 5)
     return FeatureFrame(ModelId.M1, weekdays(date(2020, 1, 6), rows),
-                        (("spx", 1), ("spx", 5), ("russell", 1), ("russell", 5)),
                         cells[:, :4], cells[:, 4] * -1.0)
 
 
@@ -642,7 +641,7 @@ def test_non_finite_frame_names_first_bad_row_and_column(bad, message):
         cells[at] = value
     message = f"feature frame contains non-finite values: first on {message}"
     with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
-        FeatureFrame(frame.model_id, frame.dates, frame.columns, cells[:, :4], cells[:, 4])
+        FeatureFrame(frame.model_id, frame.dates, cells[:, :4], cells[:, 4])
 
 
 def test_read_frame_csv_non_finite_cell_names_file_row_and_column(tmp_path):

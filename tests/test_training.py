@@ -1,4 +1,5 @@
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ddqn_trader.agent import Agent, AgentConfig, EpsilonSchedule, epsilon_at, train_step
 from ddqn_trader.env import CostModel, EnvConfig
 from ddqn_trader.errors import CheckpointError, ConfigError, NumericsError
+from ddqn_trader.evaluation import PerformanceReport
 from ddqn_trader.market_data import ModelId, build_features, synth_generate
 from ddqn_trader.net import NetConfig, forward
 from ddqn_trader.seeding import rng_streams
@@ -13,6 +15,7 @@ from ddqn_trader.training import (
     TrainConfig,
     config_hash,
     load_checkpoint,
+    record_type,
     run_training,
     save_checkpoint,
     write_log_csv,
@@ -324,7 +327,7 @@ def test_checkpoint_key_set_must_be_exact(tmp_path, saved, block, key, change):
 
 
 @pytest.mark.parametrize("values, message", [
-    (lambda flat: [flat[:128], flat[128:]], "inhomogeneous shape"),
+    (lambda flat: [flat[:128], flat[128:]], "target must be a list of 4547 floats"),
     (lambda flat: [flat[:128], flat[128:256]], "target must be a list of 4547 floats"),
     (lambda flat: ["0.5"] + flat[1:], "target must be a list of 4547 floats"),
     (lambda flat: [None] + flat[1:], "target must be a list of 4547 floats"),
@@ -342,6 +345,22 @@ def test_checkpoint_non_integer_layer_width_rejected(tmp_path, saved, change):
     record = dict(saved[1], net_config=dict(saved[1]["net_config"], **change))
     with pytest.raises(CheckpointError, match="corrupt checkpoint"):
         load_record(tmp_path, record)
+
+
+@pytest.mark.parametrize("warmup", [None, 0, 12])
+def test_checkpoint_warmup_null_or_integer_loads(tmp_path, saved, warmup):
+    record = json.loads(json.dumps(saved[1]))
+    record["agent_config"]["warmup"] = warmup
+    assert load_record(tmp_path, record).config.warmup == warmup
+
+
+@pytest.mark.parametrize("cls", [NetConfig, AgentConfig, PerformanceReport])
+def test_record_field_types_are_checked_by_from_record(cls):
+    # a field of a type from_record cannot check fails here, not at load time
+    for name, annotation in typing.get_type_hints(cls).items():
+        if cls is AgentConfig and name == "net":
+            continue  # read from the checkpoint's own net_config record
+        record_type(annotation)  # raises for a type it has no check for
 
 
 def test_checkpoint_not_an_object_rejected(tmp_path):
