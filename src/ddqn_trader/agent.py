@@ -130,6 +130,12 @@ def epsilon_at(schedule: EpsilonSchedule, episode: int) -> float:
     return min(schedule.eps_start, max(schedule.eps_end, eps))
 
 
+# The largest replay buffer a config may ask for: 1,000x the paper's 1M, and
+# 25 GB of address space at 25 bytes a transition. A larger value is a typo,
+# and past the range of ``ssize_t`` it would reach ``mmap`` as an OverflowError.
+MAX_REPLAY_CAPACITY = 10**9
+
+
 @dataclass(frozen=True)
 class AgentConfig:
     net: NetConfig
@@ -152,6 +158,9 @@ class AgentConfig:
             raise ConfigError(
                 f"target_sync_unit must be 'steps' or 'episodes', got {self.target_sync_unit!r}"
             )
+        if not 1 <= self.replay_capacity <= MAX_REPLAY_CAPACITY:
+            raise ConfigError(f"replay_capacity must be in [1, {MAX_REPLAY_CAPACITY}], "
+                              f"got {self.replay_capacity}")
         if not 1 <= self.batch_size <= self.replay_capacity:
             raise ConfigError(
                 f"batch_size {self.batch_size} must be in [1, replay_capacity "

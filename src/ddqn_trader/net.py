@@ -14,6 +14,16 @@ Parameters live in one float64 vector with per-layer views into it, and the
 activations and gradients of a batch live in a reusable :class:`Workspace`,
 so a gradient step that keeps its workspace allocates no [batch, width]
 activation or gradient arrays.
+
+The gradient step's elementwise chains (the dropout draw and mask, the dropped
+layer 2, and the dropout, L2 and ReLU factors of dL/dz2 and dL/dz1) run over
+row blocks of ``TRAIN_BLOCK_ROWS``, so each chain reads a block from memory
+once and not once per operation. Every value is computed by the same
+operations as in one whole-batch pass, so the gradients and the dropout
+generator's state are the same bit for bit. The products stay whole-batch:
+the three weight gradients and the bias sums reduce over rows, the output
+layer keeps its row count (a row of a 3-wide product can round differently at
+another), and dL/dz2 @ W2^T loses OpenBLAS's second thread when blocked.
 """
 
 from __future__ import annotations
@@ -37,6 +47,16 @@ ADAM_EPS = 1e-8
 # memory; the output layer still runs once over all rows, since a row of the
 # 3-wide product can round differently at another row count.
 EVAL_BLOCK_ROWS = 128
+
+# Rows per block of the gradient step's elementwise passes. A 512-row block of
+# a 64-wide float64 array is 256 KiB, so the chain of passes over one block
+# runs in a core's L2, where a [4096, 64] array (2 MiB) streams from L3.
+TRAIN_BLOCK_ROWS = 512
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of ``TRAIN_BLOCK_ROWS`` rows covering rows 0..n-1; the last is partial."""
+    return [slice(s, s + TRAIN_BLOCK_ROWS) for s in range(0, n, TRAIN_BLOCK_ROWS)]
 
 
 @dataclass(frozen=True)
@@ -167,10 +187,10 @@ class Workspace:
     """Activation and gradient buffers for batches of up to ``batch`` rows.
 
     A gradient step that reuses one allocates no [batch, width] arrays. The
-    buffers of dL/dz1 and dL/dz2 also hold the squared activations of the L2
-    term, and the dropped-out layer 2 is reused as L2 scratch once dW3 is
-    computed. Until :meth:`loss_and_grads` runs, ``dz1`` and ``dz2`` are free
-    for the caller's scratch.
+    first blocks of the dropped-out layer 2's buffer and of the bool flags
+    are the scratch of the L2 and ReLU factors once dW3 is computed, and the
+    flags' first block holds the kept units while a mask is drawn. Until :meth:`loss_and_grads` runs, ``dz1`` and ``dz2`` are free for the
+    caller's scratch.
 
     Use: :meth:`hidden` or :meth:`take`, then :meth:`train_q` or
     :meth:`loss_and_grads`. Returned arrays and gradients are views into the
@@ -199,6 +219,11 @@ class Workspace:
     def _view(self, buf: np.ndarray, width: int) -> np.ndarray:
         return buf[: self.rows * width].reshape(self.rows, width)
 
+    def _tile(self, buf: np.ndarray, width: int) -> np.ndarray:
+        """The first block of ``buf`` as [rows, width]: one block's scratch."""
+        rows = min(self.rows, TRAIN_BLOCK_ROWS)
+        return buf[: rows * width].reshape(rows, width)
+
     def hidden(self, params: NetParams, states: np.ndarray) -> None:
         """Layers 1–2 over the train rows ``states``; a non-finite
         pre-activation is reported by the next :meth:`loss_and_grads`."""
@@ -220,17 +245,22 @@ class Workspace:
 
     def train_q(self, params: NetParams, rng: np.random.Generator | None) -> np.ndarray:
         """Train-mode Q-values of the train rows: a fresh inverted-dropout mask
-        over layer 2, drawn from ``rng``, then the output layer."""
+        over layer 2, drawn from ``rng`` block by block in row order (the same
+        doubles as one whole-batch draw), then the output layer."""
         n, rate = self.rows, self.config.dropout_rate
         a2 = self.a2[:n]
         if rate > 0.0:
             if rng is None:
                 raise ValueError("train-mode forward with dropout needs an rng")
             keep = 1.0 - rate
-            self.mask = rng.random(out=self._mask[:n])
-            np.less(self.mask, keep, out=self.mask)
-            self.mask /= keep
-            self._dropped = np.multiply(a2, self.mask, out=self._view(self._scratch, a2.shape[1]))
+            scale = 1.0 / keep  # a kept unit's mask value, as 1.0 / keep
+            self.mask = self._mask[:n]
+            self._dropped = self._view(self._scratch, a2.shape[1])
+            kept = self._tile(self._flags, a2.shape[1])
+            for b in _row_blocks(n):
+                mask = rng.random(out=self.mask[b])
+                np.multiply(np.less(mask, keep, out=kept[: len(mask)]), scale, out=mask)
+                np.multiply(a2[b], mask, out=self._dropped[b])
         else:
             self.mask = None
             self._dropped = a2
@@ -264,9 +294,8 @@ class Workspace:
         l2 = self.config.l2_activity
         loss = float(np.mean(err**2))
         if l2 > 0.0:
-            sq1 = np.square(a1, out=self.dz1[:n])
-            sq2 = np.square(a2, out=self.dz2[:n])
-            loss += l2 * float(np.sum(sq1) + np.sum(sq2)) / n
+            flat1, flat2 = a1.ravel(), a2.ravel()
+            loss += l2 * float(np.dot(flat1, flat1) + np.dot(flat2, flat2)) / n
         if not math.isfinite(loss):
             raise NumericsError("non-finite loss")
 
@@ -277,20 +306,30 @@ class Workspace:
         np.matmul(self._dropped.T, dq, out=g.weights[2])
         np.sum(dq, axis=0, out=g.biases[2])
         dz2 = np.matmul(dq, w[2].T, out=self.dz2[:n])
-        if self.mask is not None:
-            dz2 *= self.mask
-        if l2 > 0.0:
-            dz2 += np.multiply(a2, 2.0 * l2 / n, out=self._view(self._scratch, a2.shape[1]))
-        dz2 *= np.greater(a2, 0.0, out=self._view(self._flags, a2.shape[1]))
+        self._backward_blocks(dz2, a2, self.mask)
         np.matmul(a1.T, dz2, out=g.weights[1])
         np.sum(dz2, axis=0, out=g.biases[1])
         dz1 = np.matmul(dz2, w[1].T, out=self.dz1[:n])
-        if l2 > 0.0:
-            dz1 += np.multiply(a1, 2.0 * l2 / n, out=self._view(self._scratch, a1.shape[1]))
-        dz1 *= np.greater(a1, 0.0, out=self._view(self._flags, a1.shape[1]))
+        self._backward_blocks(dz1, a1, None)
         np.matmul(x.T, dz1, out=g.weights[0])
         np.sum(dz1, axis=0, out=g.biases[0])
         return loss, g
+
+    def _backward_blocks(self, dz: np.ndarray, a: np.ndarray, mask: np.ndarray | None) -> None:
+        """dL/dz of a hidden layer from dL/d(its output) in ``dz``, in place and
+        block by block: times the dropout mask, plus the L2 term's 2*l2/n * a,
+        times the ReLU mask a > 0."""
+        n, width = a.shape
+        l2 = self.config.l2_activity
+        coef = 2.0 * l2 / n
+        addend, live = self._tile(self._scratch, width), self._tile(self._flags, width)
+        for b in _row_blocks(n):
+            d, ab = dz[b], a[b]
+            if mask is not None:
+                d *= mask[b]
+            if l2 > 0.0:
+                d += np.multiply(ab, coef, out=addend[: len(d)])
+            d *= np.greater(ab, 0.0, out=live[: len(d)])
 
 
 def _as_states(states, config: NetConfig) -> np.ndarray:

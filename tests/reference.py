@@ -6,14 +6,19 @@ touches. The tests compare that path bit for bit with the plain one kept
 here: a replay draw as explicit states and next states, and double-Q
 targets from one eval forward of each network over the next states.
 :func:`frame_targets` runs a hand-built batch through the frame path.
+
+:func:`reference_loss_and_grads` is the gradient step as one whole-batch
+pass per operation, which ``net.Workspace`` runs in row blocks.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ddqn_trader.agent import Agent, ReplayBuffer, _FramePass
-from ddqn_trader.net import forward
+from ddqn_trader.errors import NumericsError
+from ddqn_trader.net import NetConfig, NetParams, forward
 
 
 @dataclass
@@ -70,3 +75,62 @@ def frame_targets(agent: Agent, batch: TransitionBatch) -> np.ndarray:
     frame = _FramePass(agent.config.net, states, n)
     buffer.take(np.arange(n), frame.rows, frame.actions, frame.rewards, frame.dones)
     return frame.targets(agent.online, agent.target, agent.config.gamma)
+
+
+def reference_loss_and_grads(params: NetParams, x: np.ndarray, a1: np.ndarray, a2: np.ndarray,
+                             bad: str | None, actions: np.ndarray, targets: np.ndarray,
+                             config: NetConfig, rng: np.random.Generator | None):
+    """``Workspace.train_q`` then ``Workspace.loss_and_grads`` over the train
+    rows ``x``, ``a1``, ``a2`` of a layers-1–2 pass that reported ``bad``,
+    each elementwise operation over the whole batch at once and in fresh
+    arrays. Returns (loss, grads, mask); mask is None without dropout."""
+    n, rate, l2 = len(x), config.dropout_rate, config.l2_activity
+    w, b = params.weights, params.biases
+    actions = np.asarray(actions, dtype=np.intp)
+    targets = np.asarray(targets, dtype=np.float64)
+    if len(actions) != n or len(targets) != n:
+        raise ValueError(f"need {n} actions and targets, got {len(actions)} and {len(targets)}")
+    if not np.all(np.isfinite(targets)):
+        raise NumericsError("non-finite targets")
+    mask = None
+    dropped = a2
+    if rate > 0.0:
+        if rng is None:
+            raise ValueError("train-mode forward with dropout needs an rng")
+        keep = 1.0 - rate
+        mask = rng.random(size=a2.shape)
+        np.less(mask, keep, out=mask)
+        mask /= keep
+        dropped = a2 * mask
+    q = dropped @ w[2]
+    q += b[2]
+    if bad is not None:
+        raise NumericsError(f"non-finite values in {bad}")
+    if not np.isfinite(q).all():
+        raise NumericsError("non-finite values in output layer")
+
+    rows = np.arange(n)
+    err = q[rows, actions] - targets
+    loss = float(np.mean(err**2))
+    if l2 > 0.0:
+        loss += l2 * float(np.sum(np.square(a1)) + np.sum(np.square(a2))) / n
+    if not math.isfinite(loss):
+        raise NumericsError("non-finite loss")
+
+    gw, gb = [None] * 3, [None] * 3
+    dq = np.zeros((n, len(b[2])))
+    dq[rows, actions] = 2.0 * err / n
+    gw[2], gb[2] = dropped.T @ dq, np.sum(dq, axis=0)
+    dz2 = dq @ w[2].T
+    if mask is not None:
+        dz2 *= mask
+    if l2 > 0.0:
+        dz2 += a2 * (2.0 * l2 / n)
+    dz2 *= a2 > 0.0
+    gw[1], gb[1] = a1.T @ dz2, np.sum(dz2, axis=0)
+    dz1 = dz2 @ w[1].T
+    if l2 > 0.0:
+        dz1 += a1 * (2.0 * l2 / n)
+    dz1 *= a1 > 0.0
+    gw[0], gb[0] = x.T @ dz1, np.sum(dz1, axis=0)
+    return loss, NetParams(gw, gb), mask

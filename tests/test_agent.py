@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ddqn_trader.agent import (
+    MAX_REPLAY_CAPACITY,
     Agent,
     AgentConfig,
     EpsilonSchedule,
@@ -113,6 +114,14 @@ def test_epsilon_schedule_defaults_linear_until_to_half():
 def test_agent_config_requires_finite_positive_lr(lr):
     with pytest.raises(ConfigError, match="lr must be finite and > 0"):
         AgentConfig(net=NetConfig(input_dim=2), lr=lr)
+
+
+@pytest.mark.parametrize("capacity", [0, MAX_REPLAY_CAPACITY + 1, 10**30])
+def test_agent_config_bounds_replay_capacity(capacity):
+    with pytest.raises(ConfigError, match=r"replay_capacity must be in \[1, 1000000000\]"):
+        AgentConfig(net=NetConfig(input_dim=2), batch_size=1, replay_capacity=capacity)
+    assert AgentConfig(net=NetConfig(input_dim=2),
+                       replay_capacity=MAX_REPLAY_CAPACITY).replay_capacity == 10**9
 
 
 # ------------------------------------------------------------ select_action

@@ -482,6 +482,39 @@ def test_non_finite_cost_exit_code(workspace, capsys, line):
     assert not (tmp_path / "ev" / "report.json").exists()
 
 
+def test_replay_capacity_past_ceiling_exit_code(workspace, capsys):
+    tmp_path, config = workspace
+    prep = tmp_path / "prep"
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    bad = tmp_path / "bad.conf"
+    bad.write_text(config.read_text() + "\nreplay_capacity = 1000000000000000000000000000000\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(bad), "--frame", str(prep / "train_frame.csv"),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert _one_error_line(capsys) == (
+        f"error: replay_capacity must be in [1, 1000000000], got {10**30}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_evaluate_checkpoint_replay_capacity_past_ceiling_exit_code(workspace, capsys):
+    ws, config = workspace
+    prep = ws / "prep"
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    checkpoint = ws / "checkpoint.json"
+    save_checkpoint(Agent.create(AgentConfig(net=NetConfig(input_dim=2))), checkpoint)
+    record = json.loads(checkpoint.read_text())
+    record["agent_config"]["replay_capacity"] = 10**30
+    checkpoint.write_text(json.dumps(record))
+    capsys.readouterr()
+    code = main(["evaluate", "--config", str(config), "--checkpoint", str(checkpoint),
+                 "--frame", str(prep / "test_frame.csv"), "--out", str(ws / "ev")])
+    assert code == 2
+    assert _one_error_line(capsys) == (
+        f"error: corrupt checkpoint {checkpoint}: replay_capacity must be in "
+        f"[1, 1000000000], got {10**30}\n")
+    assert not (ws / "ev").exists()
+
+
 def test_negative_seed_exit_code(workspace, capsys):
     tmp_path, config = workspace
     prep, run = tmp_path / "prep", tmp_path / "run"

@@ -328,7 +328,8 @@ def test_build_features_horizon_scaled_option():
 
 
 def dict_join_reference(model, series_by_role, decay=0.94, horizon_scaled=False):
-    """build_features as a join of one date -> value dict per column."""
+    """build_features as a join of one date -> value dict per column: the
+    frame, and the (role, horizon) of each column in the order it joined them."""
     model = ModelId(model)
     roles = ("spx", "russell", "wti", "gold")[: int(model) + 1]
     column_maps, target_map = {}, {}
@@ -352,7 +353,7 @@ def dict_join_reference(model, series_by_role, decay=0.94, horizon_scaled=False)
     dates = tuple(sorted(common))
     values = np.array([[column_maps[c][d] for c in column_order] for d in dates])
     target = np.array([target_map[d] for d in dates])
-    return FeatureFrame(model, dates, values, target)
+    return FeatureFrame(model, dates, values, target), column_order
 
 
 def drop_rows(series, rows):
@@ -382,9 +383,9 @@ def test_build_features_equals_dict_join_reference(model, edit, horizon_scaled):
     if edit is not None:
         edit(series)
     frame = build_features(model, series, horizon_scaled=horizon_scaled)
-    ref = dict_join_reference(model, series, horizon_scaled=horizon_scaled)
+    ref, ref_columns = dict_join_reference(model, series, horizon_scaled=horizon_scaled)
     assert frame.dates == ref.dates
-    assert frame.columns == ref.columns
+    assert frame.columns == ref_columns
     assert frame.values.tobytes() == ref.values.tobytes()
     assert frame.target_returns.tobytes() == ref.target_returns.tobytes()
 

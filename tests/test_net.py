@@ -20,6 +20,7 @@ from ddqn_trader.net import (
     loss_and_grads,
     param_count,
 )
+from reference import reference_loss_and_grads
 
 
 def zero_params(config):
@@ -308,6 +309,73 @@ def test_loss_mean_reduction_batch_invariant():
     assert loss4 == pytest.approx(loss1, rel=1e-12)
     for g1, g4 in zip(grads1.weights, grads4.weights):
         assert np.allclose(g1, g4, rtol=1e-12)
+
+
+def _train_rows(config, params, n, plant):
+    """States and their layers-1–2 pass. A NaN is planted in the last row
+    of ``plant`` unless that is None: before the pass in "x", after it in
+    "a1" or "a2"."""
+    data = np.random.default_rng(n)
+    x = data.normal(size=(n, config.input_dim))
+    if plant == "x":
+        x[n - 1, 0] = np.nan
+    a1, a2 = np.empty((n, config.hidden_dims[0])), np.empty((n, config.hidden_dims[1]))
+    _, bad = hidden(params, x, a1, a2, np.empty(n * 64, dtype=bool))
+    if plant in ("a1", "a2"):
+        {"a1": a1, "a2": a2}[plant][n - 1, 5] = np.nan
+    return x, a1, a2, bad, data.integers(0, 3, size=n), data.normal(size=n)
+
+
+def _both_gradient_steps(n, dropout, l2, plant=None):
+    """Workspace.loss_and_grads and the whole-batch reference on the same
+    rows: the workspace, and each side's (result or NumericsError, dropout
+    generator after the call)."""
+    config = NetConfig(input_dim=5, dropout_rate=dropout, l2_activity=l2)
+    params = init_params(config, np.random.default_rng(1))
+    x, a1, a2, bad, actions, targets = _train_rows(config, params, n, plant)
+    ws = Workspace(config, n + 7)  # a workspace larger than the batch
+    ws.take(x, a1, a2, np.arange(n), bad)
+    sides = []
+    for run in (lambda rng: ws.loss_and_grads(params, actions, targets, rng),
+                lambda rng: reference_loss_and_grads(params, x, a1, a2, bad, actions,
+                                                     targets, config, rng)):
+        rng = np.random.default_rng(99)
+        try:
+            result = run(rng)
+        except NumericsError as exc:
+            result = exc
+        sides.append((result, rng))
+    return ws, sides
+
+
+@pytest.mark.parametrize("l2", [0.0, 1e-6])
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("n", [1, 3, 511, 512, 513, 1029, 4096])
+def test_blocked_gradient_step_equals_whole_batch_reference(n, dropout, l2):
+    ws, ((got, rng), ((ref_loss, ref_grads, ref_mask), ref_rng)) = (
+        _both_gradient_steps(n, dropout, l2))
+    loss, grads = got
+    assert grads.flat.tobytes() == ref_grads.flat.tobytes()
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    if ref_mask is None:
+        assert ws.mask is None
+    else:
+        assert ws.mask.tobytes() == ref_mask.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("plant, l2, message", [
+    ("a2", 0.0, "non-finite values in output layer"),
+    ("a1", 1e-6, "non-finite loss"),
+    ("x", 0.0, "non-finite values in hidden layer 1"),
+])
+@pytest.mark.parametrize("n", [3, 513, 1029])
+def test_blocked_gradient_step_fails_like_reference(n, plant, l2, message):
+    _, ((got, rng), (ref, ref_rng)) = _both_gradient_steps(n, 0.1, l2, plant)
+    assert isinstance(got, NumericsError) and isinstance(ref, NumericsError)
+    assert str(got) == str(ref) == message
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # -------------------------------------------------------------------- adam
