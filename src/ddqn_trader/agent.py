@@ -37,11 +37,11 @@ class ReplayBuffer:
     is never made resident.
     """
 
-    def __init__(self, capacity: int, states: np.ndarray | None = None):
+    def __init__(self, capacity: int, states: np.ndarray):
         if capacity < 1:
             raise ConfigError(f"replay capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self.states = None if states is None else np.asarray(states, dtype=np.float64)
+        self.states = np.asarray(states, dtype=np.float64)
         self.size = 0
         self._cursor = 0
         # Pages straight from the OS, not from malloc: freeing a malloc'd array
@@ -61,8 +61,6 @@ class ReplayBuffer:
         ``row`` must leave room for the next state: it lies in [0, F - 2] for
         a states matrix of F rows.
         """
-        if self.states is None:
-            raise ValueError("replay buffer has no states matrix to index")
         if not 0 <= row <= len(self.states) - 2:
             raise ValueError(f"row {row} outside [0, {len(self.states) - 2}]: "
                              f"a transition needs its row and the next")
@@ -175,7 +173,8 @@ class AgentConfig:
 
 
 class Agent:
-    """Online/target network pair with its replay buffer and optimizer state."""
+    """Online/target network pair with its optimizer state. The replay buffer
+    belongs to the training run, which passes it to :func:`train_step`."""
 
     def __init__(
         self,
@@ -183,7 +182,6 @@ class Agent:
         online: NetParams,
         target: NetParams,
         adam: AdamState,
-        buffer: ReplayBuffer,
         replay_rng: np.random.Generator,
         dropout_rng: np.random.Generator,
         gradient_steps: int = 0,
@@ -192,31 +190,21 @@ class Agent:
         self.online = online
         self.target = target
         self.adam = adam
-        self.buffer = buffer
         self.gradient_steps = gradient_steps
         self._replay_rng = replay_rng
         self._dropout_rng = dropout_rng
         self._frame: _FramePass | None = None  # allocated by the first gradient step
 
     @classmethod
-    def create(
-        cls,
-        config: AgentConfig,
-        rngs: dict[str, np.random.Generator] | None = None,
-        seed: int = 0,
-        states: np.ndarray | None = None,
-    ) -> "Agent":
-        """Fresh agent; ``rngs`` may supply the init/replay/dropout streams and
-        ``states`` is the matrix whose rows the replay buffer stores."""
-        if rngs is None:
-            rngs = rng_streams(seed)
+    def create(cls, config: AgentConfig, seed: int = 0) -> "Agent":
+        """Fresh agent on the init, replay and dropout streams of ``seed``."""
+        rngs = rng_streams(seed)
         online = net.init_params(config.net, rngs["init"])
         return cls(
             config=config,
             online=online,
             target=online.clone(),
             adam=net.init_adam(config.net),
-            buffer=ReplayBuffer(config.replay_capacity, states),
             replay_rng=rngs["replay"],
             dropout_rng=rngs["dropout"],
         )
@@ -306,15 +294,14 @@ def sync_target(agent: Agent) -> None:
     np.copyto(agent.target.flat, agent.online.flat)
 
 
-def train_step(agent: Agent) -> float | None:
-    """One gradient update from a replay sample; skipped until warmup fills.
+def train_step(agent: Agent, buffer: ReplayBuffer) -> float | None:
+    """One gradient update from a sample of ``buffer``; skipped until warmup fills.
 
     Returns the loss, or None when skipped. The target network syncs whenever
     the gradient-step counter hits a multiple of ``target_sync_every`` (in the
     default per-step unit).
     """
     cfg = agent.config
-    buffer = agent.buffer
     if buffer.size < cfg.effective_warmup or buffer.size < cfg.batch_size:
         return None
     slots = buffer.draw(cfg.batch_size, agent._replay_rng)

@@ -218,10 +218,14 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    try:
+        start = date.fromisoformat(args.start_date)
+    except ValueError:
+        raise ConfigError(f"--start-date must be a YYYY-MM-DD date, "
+                          f"got {args.start_date!r}") from None
     series = synth_generate(
         mu=args.mu, sigma=args.sigma, n_days=args.days, seed=args.seed,
-        regime=args.regime, start=date.fromisoformat(args.start_date),
-        start_price=args.start_price,
+        regime=args.regime, start=start, start_price=args.start_price,
     )
     out_dir = os.path.dirname(args.out)
     if out_dir:

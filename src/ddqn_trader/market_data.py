@@ -23,7 +23,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from enum import IntEnum
 
 import numpy as np
@@ -351,16 +351,6 @@ def split(frame: FeatureFrame, spec: SplitSpec) -> tuple[FeatureFrame, FeatureFr
     return _take(in_train), _take(in_test)
 
 
-def _weekdays(start: date, count: int) -> tuple[date, ...]:
-    out = []
-    d = start
-    while len(out) < count:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return tuple(out)
-
-
 def synth_generate(
     mu: float,
     sigma: float,
@@ -386,21 +376,26 @@ def synth_generate(
         raise ConfigError(f"n_days must be >= 10, got {n_days}")
     if regime not in ("trend", "meanrevert", "flat"):
         raise ConfigError(f"unknown regime {regime!r}")
-    rng = np.random.default_rng(seed)
-    noise = sigma * rng.standard_normal(n_days - 1)
+    weekdays_left = int(np.busday_count(start, np.datetime64(date.max) + 1))
+    if n_days > weekdays_left:
+        raise ConfigError(f"n_days {n_days} from {start.isoformat()} runs past "
+                          f"{date.max.isoformat()}: at most {weekdays_left} weekdays")
     if regime == "trend":
         drift = np.full(n_days - 1, mu)
     elif regime == "meanrevert":
         drift = mu * (-1.0) ** np.arange(n_days - 1)
     else:
         drift = np.zeros(n_days - 1)
-    returns = drift + noise
-    with np.errstate(over="ignore"):
+    rng = np.random.default_rng(seed)
+    # an overflow or inf - inf here ends in a non-finite close, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        returns = drift + sigma * rng.standard_normal(n_days - 1)
         closes = start_price * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
     if not np.isfinite(closes).all():
         raise ConfigError(f"synthetic closes are not finite (mu {mu}, sigma {sigma}, "
                           f"start_price {start_price}, {n_days} days)")
-    return PriceSeries(asset_id, _weekdays(start, n_days), closes)
+    dates = np.busday_offset(start, np.arange(n_days), roll="forward").astype(object)
+    return PriceSeries(asset_id, tuple(dates), closes)
 
 
 def write_frame_csv(frame: FeatureFrame, path) -> None:

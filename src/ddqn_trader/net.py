@@ -189,12 +189,13 @@ class Workspace:
     A gradient step that reuses one allocates no [batch, width] arrays. The
     first blocks of the dropped-out layer 2's buffer and of the bool flags
     are the scratch of the L2 and ReLU factors once dW3 is computed, and the
-    flags' first block holds the kept units while a mask is drawn. Until :meth:`loss_and_grads` runs, ``dz1`` and ``dz2`` are free for the
+    flags' first block holds the kept units while a mask is drawn. Until
+    :meth:`loss_and_grads` runs, ``dz1`` and ``dz2`` are free for the
     caller's scratch.
 
-    Use: :meth:`hidden` or :meth:`take`, then :meth:`train_q` or
-    :meth:`loss_and_grads`. Returned arrays and gradients are views into the
-    buffers, overwritten by the next call.
+    Use: :meth:`take`, then :meth:`train_q` or :meth:`loss_and_grads`.
+    Returned arrays and gradients are views into the buffers, overwritten by
+    the next call.
     """
 
     def __init__(self, config: NetConfig, batch: int):
@@ -211,7 +212,7 @@ class Workspace:
         self._scratch = np.empty(batch * max(h1, h2))  # dropped-out a2, then L2 terms
         self._flags = np.empty(batch * max(h1, h2, len(Action)), dtype=bool)
         self.grads = NetParams.from_flat(np.empty(param_count(config)), config.layer_shapes)
-        self.rows = 0  # train rows of the last hidden pass or take
+        self.rows = 0  # train rows of the last take
         self.mask: np.ndarray | None = None  # dropout mask of the last train_q
         self._dropped: np.ndarray | None = None
         self._bad: str | None = None
@@ -224,19 +225,12 @@ class Workspace:
         rows = min(self.rows, TRAIN_BLOCK_ROWS)
         return buf[: rows * width].reshape(rows, width)
 
-    def hidden(self, params: NetParams, states: np.ndarray) -> None:
-        """Layers 1–2 over the train rows ``states``; a non-finite
-        pre-activation is reported by the next :meth:`loss_and_grads`."""
-        n = len(states)
-        self.x[:n] = states
-        self.rows = n
-        _, self._bad = hidden(params, self.x[:n], self.a1[:n], self.a2[:n], self._flags)
-
     def take(self, x: np.ndarray, a1: np.ndarray, a2: np.ndarray, index: np.ndarray,
              bad: str | None) -> None:
         """Train rows from an earlier layers-1–2 pass: row i is row ``index[i]``
-        of ``x``, ``a1`` and ``a2``, and ``bad`` is that pass's report. The
-        gathers clip, so every index must already be in range."""
+        of ``x``, ``a1`` and ``a2``, and ``bad`` is that pass's report, raised
+        by the next :meth:`loss_and_grads`. The gathers clip, so every index
+        must already be in range."""
         n = len(index)
         for src, dst in ((x, self.x), (a1, self.a1), (a2, self.a2)):
             np.take(src, index, axis=0, out=dst[:n], mode="clip")
@@ -273,7 +267,7 @@ class Workspace:
         targets: np.ndarray,
         rng: np.random.Generator | None = None,
     ) -> tuple[float, NetParams]:
-        """Loss and gradients for the train rows of the last hidden pass; see
+        """Loss and gradients for the train rows of the last :meth:`take`; see
         :func:`loss_and_grads`. The gradients are ``self.grads``."""
         actions = np.asarray(actions, dtype=np.intp)
         targets = np.asarray(targets, dtype=np.float64)
@@ -346,7 +340,8 @@ def forward(params: NetParams, states: np.ndarray, config: NetConfig) -> np.ndar
 
     Deterministic (no dropout): layers 1–2 run in blocks of
     ``EVAL_BLOCK_ROWS`` rows, then the output layer once over all rows. The
-    train-mode pass is :meth:`Workspace.hidden` then :meth:`Workspace.train_q`.
+    train-mode pass is :func:`hidden`, :meth:`Workspace.take` and then
+    :meth:`Workspace.train_q`.
     """
     states = _as_states(states, config)
     n = len(states)
@@ -378,9 +373,16 @@ def loss_and_grads(
     """
     if len(actions) == 0:
         raise ValueError("empty batch")
-    states = _as_states(states, config)
-    ws = Workspace(config, len(states))
-    ws.hidden(params, states)
+    # row-major like the frame rows the agent gathers: a strided or column-major
+    # operand can take another matmul path and round differently
+    states = np.ascontiguousarray(_as_states(states, config))
+    n = len(states)
+    ws = Workspace(config, n)
+    # dz1 and dz2 are free until the loss runs: the pass goes there, not into
+    # two more [n, width] arrays, and take copies it to the train rows
+    a1, a2 = ws.dz1[:n], ws.dz2[:n]
+    _, bad = hidden(params, states, a1, a2, ws._flags)
+    ws.take(states, a1, a2, np.arange(n), bad)
     return ws.loss_and_grads(params, actions, targets, rng)
 
 

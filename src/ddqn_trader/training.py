@@ -90,7 +90,8 @@ def run_training(
 ) -> tuple[TrainLog, Agent]:
     """Run the full training protocol; deterministic per (config, seed, data)."""
     streams = rng_streams(config.seed)
-    agent = Agent.create(config.agent, rngs=streams, states=config.env.frame.values)
+    agent = Agent.create(config.agent, seed=config.seed)
+    buffer = ReplayBuffer(config.agent.replay_capacity, config.env.frame.values)
     env = TradingEnv(config.env)
     records: list[EpisodeRecord] = []
     streak = 0
@@ -106,9 +107,9 @@ def run_training(
             else:
                 action = select_action(agent, obs, eps, streams["epsilon"])
             result = env.step(action)
-            agent.buffer.store(row, action, result.reward, result.done)
+            buffer.store(row, action, result.reward, result.done)
             try:
-                train_step(agent)
+                train_step(agent, buffer)
             except NumericsError as exc:
                 raise NumericsError(f"episode {episode}, step {step}: {exc}") from exc
             obs = result.observation
@@ -291,7 +292,8 @@ def load_checkpoint(path, seed: int = 0) -> Agent:
     """Rebuild an agent from what :func:`save_checkpoint` writes; reject anything else.
 
     RNG state is not checkpointed; replay/dropout streams are re-derived from
-    ``seed``. The replay buffer starts empty.
+    ``seed``. Replay is not checkpointed either: a run that trains on builds
+    its own buffer over its frame.
     """
     try:
         with open(path) as fh:
@@ -335,7 +337,6 @@ def load_checkpoint(path, seed: int = 0) -> Agent:
         online=online,
         target=target,
         adam=net.AdamState(vectors[2], vectors[3], adam["t"]),
-        buffer=ReplayBuffer(config.replay_capacity),
         replay_rng=streams["replay"],
         dropout_rng=streams["dropout"],
         gradient_steps=record["gradient_steps"],

@@ -8,7 +8,8 @@ targets from one eval forward of each network over the next states.
 :func:`frame_targets` runs a hand-built batch through the frame path.
 
 :func:`reference_loss_and_grads` is the gradient step as one whole-batch
-pass per operation, which ``net.Workspace`` runs in row blocks.
+pass per operation, which ``net.Workspace`` runs in row blocks, and
+:func:`load_train_rows` loads explicit states into a workspace.
 """
 
 import math
@@ -18,7 +19,7 @@ import numpy as np
 
 from ddqn_trader.agent import Agent, ReplayBuffer, _FramePass
 from ddqn_trader.errors import NumericsError
-from ddqn_trader.net import NetConfig, NetParams, forward
+from ddqn_trader.net import NetConfig, NetParams, Workspace, forward, hidden
 
 
 @dataclass
@@ -134,3 +135,12 @@ def reference_loss_and_grads(params: NetParams, x: np.ndarray, a1: np.ndarray, a
     dz1 *= a1 > 0.0
     gw[0], gb[0] = x.T @ dz1, np.sum(dz1, axis=0)
     return loss, NetParams(gw, gb), mask
+
+
+def load_train_rows(ws: Workspace, params: NetParams, states: np.ndarray) -> None:
+    """Layers 1–2 of ``params`` over ``states``, loaded into ``ws`` as its
+    train rows through ``Workspace.take``, as ``net.loss_and_grads`` does."""
+    n, (h1, h2) = len(states), ws.config.hidden_dims
+    a1, a2 = np.empty((n, h1)), np.empty((n, h2))
+    _, bad = hidden(params, states, a1, a2, np.empty(n * max(h1, h2), dtype=bool))
+    ws.take(states, a1, a2, np.arange(n), bad)

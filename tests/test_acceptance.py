@@ -20,7 +20,6 @@ from ddqn_trader.net import (
     loss_and_grads,
     param_count,
 )
-from ddqn_trader.seeding import rng_streams
 from ddqn_trader.training import TrainConfig, run_training, write_log_csv
 from reference import TransitionBatch, frame_targets
 
@@ -137,7 +136,7 @@ def _fixture_agent(online_head, target_head, gamma=0.9):
         net=NetConfig(input_dim=2, hidden_dims=(1, 1), dropout_rate=0.0, l2_activity=0.0),
         batch_size=1, replay_capacity=4, gamma=gamma,
     )
-    agent = Agent.create(config, rngs=rng_streams(0))
+    agent = Agent.create(config, seed=0)
     body_w = [np.array([[1.0], [1.0]]), np.array([[1.0]])]
     body_b = [np.zeros(1), np.zeros(1)]
     agent.online = NetParams(body_w + [np.array([online_head])], body_b + [np.zeros(3)])
@@ -176,7 +175,7 @@ def test_criterion_03_double_q_correctness():
             net=NetConfig(input_dim=2, dropout_rate=0.0, l2_activity=0.0),
             batch_size=4, replay_capacity=16, gamma=float(rng.uniform(0, 1)),
         )
-        shared = Agent.create(config, rngs=rng_streams(seed))
+        shared = Agent.create(config, seed=seed)
         shared.target = shared.online.clone()
         fixture = TransitionBatch(
             states=rng.normal(size=(4, 2)),
@@ -249,7 +248,7 @@ def test_criterion_05_accounting_identities():
     agent = Agent.create(
         AgentConfig(net=NetConfig(input_dim=2, dropout_rate=0.0), batch_size=4,
                     replay_capacity=64),
-        rngs=rng_streams(1),
+        seed=1,
     )
     result = run_backtest(agent, frame, CostModel(2e-4, 1e-5))
     nav_ok = abs(result.agent_nav[-1] - result.rewards.sum()) <= 1e-12

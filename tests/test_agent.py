@@ -25,8 +25,14 @@ from ddqn_trader.net import (
     init_params,
     loss_and_grads,
 )
-from ddqn_trader.seeding import rng_streams
-from reference import TransitionBatch, compute_targets, frame_targets, sample, taken
+from reference import (
+    TransitionBatch,
+    compute_targets,
+    frame_targets,
+    load_train_rows,
+    sample,
+    taken,
+)
 
 CHI2_CRIT_DF9_P01 = 21.666  # chi-square critical value, df=9, p=0.01
 CHI2_CRIT_DF2_P01 = 9.210  # df=2
@@ -36,7 +42,7 @@ CHI2_CRIT_DF2_P01 = 9.210  # df=2
 STATES = np.random.default_rng(100).normal(size=(64, 2))
 
 
-def tiny_agent(seed=0, states=STATES, **overrides):
+def tiny_agent(seed=0, **overrides):
     defaults = dict(
         net=NetConfig(input_dim=2, dropout_rate=0.0, l2_activity=0.0),
         batch_size=4,
@@ -45,7 +51,13 @@ def tiny_agent(seed=0, states=STATES, **overrides):
         lr=1e-3,
     )
     defaults.update(overrides)
-    return Agent.create(AgentConfig(**defaults), rngs=rng_streams(seed), states=states)
+    return Agent.create(AgentConfig(**defaults), seed=seed)
+
+
+def replay(agent, states=STATES):
+    """An empty replay buffer of ``agent``'s capacity over ``states``, as
+    ``run_training`` builds one."""
+    return ReplayBuffer(agent.config.replay_capacity, states)
 
 
 def transition(reward=0.01, done=False, seed=0, rows=len(STATES)):
@@ -55,9 +67,9 @@ def transition(reward=0.01, done=False, seed=0, rows=len(STATES)):
     return int(rng.integers(0, rows - 1)), int(rng.integers(0, 3)), reward, done
 
 
-def fill_buffer(agent, n, seed=0):
+def fill_buffer(buffer, n, seed=0):
     for i in range(n):
-        agent.buffer.store(*transition(reward=0.001 * i, seed=seed + i))
+        buffer.store(*transition(reward=0.001 * i, seed=seed + i))
 
 
 # --------------------------------------------------------- epsilon schedule
@@ -256,7 +268,7 @@ def _two_net_agent(online_head, target_head):
         net=NetConfig(input_dim=2, hidden_dims=(1, 1), dropout_rate=0.0, l2_activity=0.0),
         batch_size=1, replay_capacity=4, gamma=0.9,
     )
-    agent = Agent.create(config, rngs=rng_streams(0))
+    agent = Agent.create(config, seed=0)
     body_w = [np.array([[1.0], [1.0]]), np.array([[1.0]])]
     body_b = [np.zeros(1), np.zeros(1)]
     agent.online = NetParams(body_w + [np.array([online_head])], body_b + [np.zeros(3)])
@@ -346,26 +358,29 @@ def test_target_magnitude_bound():
 
 def test_train_step_skipped_until_warmup():
     agent = tiny_agent()
-    assert train_step(agent) is None
+    buffer = replay(agent)
+    assert train_step(agent, buffer) is None
     assert agent.gradient_steps == 0
-    fill_buffer(agent, 3)
-    assert train_step(agent) is None  # 3 < batch_size 4
-    fill_buffer(agent, 1, seed=50)
-    assert train_step(agent) is not None
+    fill_buffer(buffer, 3)
+    assert train_step(agent, buffer) is None  # 3 < batch_size 4
+    fill_buffer(buffer, 1, seed=50)
+    assert train_step(agent, buffer) is not None
     assert agent.gradient_steps == 1
 
 
 def test_explicit_warmup_threshold():
     agent = tiny_agent(warmup=10)
-    fill_buffer(agent, 9)
-    assert train_step(agent) is None
-    fill_buffer(agent, 1, seed=99)
-    assert train_step(agent) is not None
+    buffer = replay(agent)
+    fill_buffer(buffer, 9)
+    assert train_step(agent, buffer) is None
+    fill_buffer(buffer, 1, seed=99)
+    assert train_step(agent, buffer) is not None
 
 
 def test_target_syncs_on_schedule():
     agent = tiny_agent(target_sync_every=3)
-    fill_buffer(agent, 8)
+    buffer = replay(agent)
+    fill_buffer(buffer, 8)
     probe = np.random.default_rng(1).normal(size=(6, 2))
     config = agent.config.net
 
@@ -373,10 +388,10 @@ def test_target_syncs_on_schedule():
         return forward(agent.target, probe, config)
 
     initial = target_q()
-    train_step(agent)
-    train_step(agent)
+    train_step(agent, buffer)
+    train_step(agent, buffer)
     assert np.array_equal(target_q(), initial)  # unchanged between syncs
-    train_step(agent)  # counter hits 3 -> sync
+    train_step(agent, buffer)  # counter hits 3 -> sync
     synced = target_q()
     online_q = forward(agent.online, probe, config)
     assert np.array_equal(synced, online_q)
@@ -385,8 +400,9 @@ def test_target_syncs_on_schedule():
 def test_train_step_deterministic():
     def one_loss():
         agent = tiny_agent(seed=42)
-        fill_buffer(agent, 16, seed=7)
-        return train_step(agent)
+        buffer = replay(agent)
+        fill_buffer(buffer, 16, seed=7)
+        return train_step(agent, buffer)
 
     assert one_loss() == one_loss()
 
@@ -400,12 +416,12 @@ def test_dropout_draws_do_not_disturb_replay_stream():
             net=NetConfig(input_dim=2, dropout_rate=0.25, l2_activity=0.0),
             batch_size=4, replay_capacity=512, target_sync_every=5, lr=1e-3,
         ),
-        rngs=rng_streams(5),
-        states=STATES,
+        seed=5,
     )
-    for agent in (a, b):
-        fill_buffer(agent, 8, seed=3)
-    assert np.array_equal(a.buffer.draw(4, a._replay_rng), b.buffer.draw(4, b._replay_rng))
+    buffers = [replay(a), replay(b)]
+    for buffer in buffers:
+        fill_buffer(buffer, 8, seed=3)
+    assert np.array_equal(buffers[0].draw(4, a._replay_rng), buffers[1].draw(4, b._replay_rng))
 
 
 def test_train_step_matches_unfused_reference():
@@ -416,15 +432,15 @@ def test_train_step_matches_unfused_reference():
         net=NetConfig(input_dim=2, dropout_rate=0.25, l2_activity=1e-3),
         batch_size=32, replay_capacity=512, target_sync_every=10, lr=1e-3,
     )
-    agent = Agent.create(config, rngs=rng_streams(4), states=STATES)
-    ref = Agent.create(config, rngs=rng_streams(4), states=STATES)
-    for a in (agent, ref):
-        for i in range(200):
-            a.buffer.store(*transition(reward=0.001 * i, done=i % 17 == 0, seed=i))
+    agent = Agent.create(config, seed=4)
+    ref = Agent.create(config, seed=4)
+    buffer = replay(agent)
+    for i in range(200):
+        buffer.store(*transition(reward=0.001 * i, done=i % 17 == 0, seed=i))
     online, target, adam = ref.online, ref.target, ref.adam
     for step in range(1, 51):
-        loss = train_step(agent)
-        batch = sample(ref.buffer, 32, ref._replay_rng)
+        loss = train_step(agent, buffer)
+        batch = sample(buffer, 32, ref._replay_rng)
         q_online = forward(online, batch.next_states, config.net)
         q_target = forward(target, batch.next_states, config.net)
         best = np.argmax(q_online, axis=1)
@@ -451,7 +467,7 @@ def test_workspace_reuse_leaks_nothing():
         states = data.normal(size=(n, 3))
         actions = data.integers(0, 3, size=n)
         targets = data.normal(size=n)
-        ws.hidden(params, states)
+        load_train_rows(ws, params, states)
         loss, grads = ws.loss_and_grads(params, actions, targets, np.random.default_rng(n))
         fresh_loss, fresh_grads = loss_and_grads(params, states, actions, targets, config,
                                                  rng=np.random.default_rng(n))
@@ -468,8 +484,8 @@ def test_store_rejects_row_without_next_state():
             buf.store(row, 0, 0.0, False)
     buf.store(len(STATES) - 2, 0, 0.0, False)  # the last row with a next row
     assert len(buf) == 1
-    with pytest.raises(ValueError, match="no states matrix"):
-        ReplayBuffer(capacity=8).store(0, 0, 0.0, False)
+    with pytest.raises(TypeError, match="states"):
+        ReplayBuffer(capacity=8)  # a buffer always indexes a states matrix
 
 
 @pytest.mark.parametrize("frame_rows, batch, sync_every", [
@@ -489,13 +505,13 @@ def test_frame_path_matches_reference_bit_for_bit(monkeypatch, frame_rows, batch
         net=NetConfig(input_dim=3, dropout_rate=0.2, l2_activity=1e-3),
         batch_size=batch, replay_capacity=512, target_sync_every=sync_every, lr=1e-2,
     )
-    agent = Agent.create(config, rngs=rng_streams(6), states=states)
-    ref = Agent.create(config, rngs=rng_streams(6), states=states)
+    agent = Agent.create(config, seed=6)
+    ref = Agent.create(config, seed=6)
+    buffer = replay(agent, states)
     data = np.random.default_rng(8)
     for i in range(3 * batch):
         row, action = int(data.integers(0, last_row + 1)), int(data.integers(0, 3))
-        for a in (agent, ref):
-            a.buffer.store(row, action, 0.01 * (i % 7), i % 5 == 0)
+        buffer.store(row, action, 0.01 * (i % 7), i % 5 == 0)
 
     recorded = []
     frame_targets = agent_module._FramePass.targets
@@ -506,17 +522,15 @@ def test_frame_path_matches_reference_bit_for_bit(monkeypatch, frame_rows, batch
     for step in range(1, 13):
         if step == 6:  # a new target object, not a sync, is read from the next step on
             agent.target, ref.target = agent.online.clone(), ref.online.clone()
-        loss = train_step(agent)
+        loss = train_step(agent, buffer)
         frame = agent._frame
         touched = np.unique(np.concatenate([frame.rows, frame.rows + 1]))
         assert np.count_nonzero(frame.touched) == len(touched) <= min(frame_rows, 2 * batch)
 
-        batch_ref = sample(ref.buffer, batch, ref._replay_rng)
+        batch_ref = sample(buffer, batch, ref._replay_rng)
         targets = compute_targets(ref, batch_ref)
-        ws = Workspace(config.net, batch)
-        ws.hidden(ref.online, batch_ref.states)
-        ref_loss, grads = ws.loss_and_grads(ref.online, batch_ref.actions, targets,
-                                            ref._dropout_rng)
+        ref_loss, grads = loss_and_grads(ref.online, batch_ref.states, batch_ref.actions,
+                                         targets, config.net, rng=ref._dropout_rng)
         ref.online, ref.adam = adam_step(ref.online, grads, ref.adam, config.lr)
         if step % sync_every == 0:
             sync_target(ref)

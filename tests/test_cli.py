@@ -2,14 +2,17 @@ import ast
 import dataclasses
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from ddqn_trader import cli
-from ddqn_trader.agent import Agent, AgentConfig, EpsilonSchedule
+from ddqn_trader.agent import MAX_REPLAY_CAPACITY, Agent, AgentConfig, EpsilonSchedule
 from ddqn_trader.cli import CONFIG_KEYS, main
 from ddqn_trader.env import CostModel, EnvConfig
 from ddqn_trader.market_data import ModelId, load_csv, read_frame_csv
@@ -515,6 +518,37 @@ def test_evaluate_checkpoint_replay_capacity_past_ceiling_exit_code(workspace, c
     assert not (ws / "ev").exists()
 
 
+def test_evaluate_checkpoint_at_replay_ceiling_maps_no_buffer(workspace):
+    # Evaluation stores no transition, so a checkpoint whose training run may
+    # replay up to 10**9 transitions (25 GB of address space) evaluates in a
+    # child process limited to 4 GiB of it.
+    ws, config = workspace
+    prep = ws / "prep"
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    checkpoint = ws / "checkpoint.json"
+    save_checkpoint(Agent.create(AgentConfig(net=NetConfig(input_dim=2))), checkpoint)
+    record = json.loads(checkpoint.read_text())
+    record["agent_config"]["replay_capacity"] = MAX_REPLAY_CAPACITY
+    checkpoint.write_text(json.dumps(record))
+    child = textwrap.dedent(f"""
+        import resource, sys
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, ({4 << 30}, hard))
+        from ddqn_trader import cli
+        sys.exit(cli.main(sys.argv[1:]))
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", child, "evaluate", "--config", str(config),
+         "--checkpoint", str(checkpoint), "--frame", str(prep / "test_frame.csv"),
+         "--out", str(ws / "ev")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (ws / "ev" / "report.json").exists()
+
+
 def test_negative_seed_exit_code(workspace, capsys):
     tmp_path, config = workspace
     prep, run = tmp_path / "prep", tmp_path / "run"
@@ -529,6 +563,11 @@ def test_negative_seed_exit_code(workspace, capsys):
     (["--days", "5"], "n_days must be >= 10"),
     (["--sigma", "-1"], "sigma must be"),
     (["--mu", "1e6"], "not finite"),
+    (["--sigma", "1e308"], "not finite"),
+    (["--start-date", "bad"], "--start-date must be a YYYY-MM-DD date, got 'bad'"),
+    (["--start-date", "9999-12-30", "--days", "20"], "at most 2 weekdays"),
+    (["--days", "100000000000000"], "runs past 9999-12-31"),
+    (["--days", str(10**20)], "runs past 9999-12-31"),
 ])
 def test_synth_bad_number_exit_code(tmp_path, capsys, args, message):
     out = tmp_path / "x.csv"

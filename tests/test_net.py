@@ -20,7 +20,7 @@ from ddqn_trader.net import (
     loss_and_grads,
     param_count,
 )
-from reference import reference_loss_and_grads
+from reference import load_train_rows, reference_loss_and_grads
 
 
 def zero_params(config):
@@ -180,8 +180,8 @@ def test_forward_train_dropout_masks():
     params = init_params(config, np.random.default_rng(0))
     rng = np.random.default_rng(8)
     x = np.abs(np.random.default_rng(2).normal(size=(200, 2))) + 0.1
-    ws = Workspace(config, len(x))  # the train-mode forward: hidden, then train_q
-    ws.hidden(params, x)
+    ws = Workspace(config, len(x))  # the train-mode forward: hidden, take, then train_q
+    load_train_rows(ws, params, x)
     ws.train_q(params, rng)
     mask = ws.mask.copy()  # ws.mask is a view the next train_q overwrites
     assert set(np.unique(mask)) <= {0.0, 2.0}  # inverted scaling 1/(1-p)
@@ -195,7 +195,7 @@ def test_forward_train_without_rng_errors():
     config = NetConfig(input_dim=2, dropout_rate=0.5)
     params = init_params(NetConfig(input_dim=2), np.random.default_rng(0))
     ws = Workspace(config, 1)
-    ws.hidden(params, np.zeros((1, 2)))
+    load_train_rows(ws, params, np.zeros((1, 2)))
     with pytest.raises(ValueError, match="rng"):
         ws.train_q(params, None)
 
@@ -259,7 +259,7 @@ def test_dropout_mask_applied_consistently_in_backward():
     x = np.array([[0.4, 0.2]])
     rng_a = np.random.default_rng(3)
     ws = Workspace(config, 1)
-    ws.hidden(params, x)
+    load_train_rows(ws, params, x)
     ws.train_q(params, rng_a)
     rng_b = np.random.default_rng(3)  # same mask again
     _, grads = loss_and_grads(params, x, np.array([1]), np.array([0.5]), config, rng=rng_b)

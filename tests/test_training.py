@@ -4,7 +4,7 @@ import typing
 import numpy as np
 import pytest
 
-from ddqn_trader.agent import Agent, AgentConfig, EpsilonSchedule, epsilon_at, train_step
+from ddqn_trader.agent import Agent, AgentConfig, EpsilonSchedule, ReplayBuffer, epsilon_at, train_step
 from ddqn_trader.env import CostModel, EnvConfig
 from ddqn_trader.errors import CheckpointError, ConfigError, NumericsError
 from ddqn_trader.evaluation import PerformanceReport
@@ -211,7 +211,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(loaded.adam.v, agent.adam.v)
     assert loaded.adam.t == agent.adam.t
     assert loaded.gradient_steps == agent.gradient_steps
-    assert len(loaded.buffer) == 0  # replay is not checkpointed
+    assert not hasattr(loaded, "buffer")  # replay belongs to a training run, not the agent
     again = tmp_path / "again.json"
     save_checkpoint(loaded, again)
     assert again.read_bytes() == path.read_bytes()
@@ -396,11 +396,15 @@ def test_checkpoint_resume_matches_uninterrupted_step(tmp_path):
     # same rng streams and same refilled buffer -> identical next update
     states = np.random.default_rng(39).normal(size=(40, 2))
 
-    def store_random(agent, seed):
+    def random_buffer(agent, seed):
+        """A fresh buffer over ``states`` as a training run builds one, holding
+        32 random transitions."""
+        buffer = ReplayBuffer(agent.config.replay_capacity, states)
         rng = np.random.default_rng(seed)
         for _ in range(32):
-            agent.buffer.store(int(rng.integers(0, len(states) - 1)), int(rng.integers(0, 3)),
-                               float(rng.normal(scale=0.01)), False)
+            buffer.store(int(rng.integers(0, len(states) - 1)), int(rng.integers(0, 3)),
+                         float(rng.normal(scale=0.01)), False)
+        return buffer
 
     def fresh_agent():
         agent = Agent.create(
@@ -408,28 +412,22 @@ def test_checkpoint_resume_matches_uninterrupted_step(tmp_path):
                 net=NetConfig(input_dim=2, dropout_rate=0.1, l2_activity=1e-6),
                 batch_size=8, replay_capacity=256, lr=1e-3,
             ),
-            rngs=rng_streams(7),
-            states=states,
+            seed=7,
         )
-        store_random(agent, 40)
-        train_step(agent)
+        train_step(agent, random_buffer(agent, 40))
         return agent
 
     uninterrupted = fresh_agent()
     streams = rng_streams(99)
     uninterrupted._replay_rng = streams["replay"]
     uninterrupted._dropout_rng = streams["dropout"]
-    uninterrupted.buffer = type(uninterrupted.buffer)(uninterrupted.config.replay_capacity, states)
-    store_random(uninterrupted, 41)
-    loss_u = train_step(uninterrupted)
+    loss_u = train_step(uninterrupted, random_buffer(uninterrupted, 41))
 
     resumed_source = fresh_agent()
     path = tmp_path / "resume.json"
     save_checkpoint(resumed_source, path)
     resumed = load_checkpoint(path, seed=99)
-    resumed.buffer = type(resumed.buffer)(resumed.config.replay_capacity, states)
-    store_random(resumed, 41)
-    loss_r = train_step(resumed)
+    loss_r = train_step(resumed, random_buffer(resumed, 41))
 
     assert loss_u == loss_r
     for a, b in zip(uninterrupted.online.weights, resumed.online.weights):
