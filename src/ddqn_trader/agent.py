@@ -235,12 +235,19 @@ class _FramePass:
     """Buffers of the gradient step over one states matrix of F rows.
 
     A batch of B transitions touches at most min(F, 2B) rows: each
-    transition's row and the next. The online and then the target network's
-    layers 1–2 run once each over those rows.
+    transition's row and the next. The online network's layers 1–2 run once
+    over those rows. The target network's layer-2 activations are kept per
+    frame row in ``cache`` ([F, h2]), valid where ``cached`` is set and
+    computed with the weights in ``cache_weights``. A step whose target
+    weights differ from those, by a sync, a new target object or an edit in
+    place, first drops every row. Then the target's layers 1–2 run over the
+    distinct next rows the cache lacks, and only those. The states matrix is
+    the training frame, which must not change while the cache is kept.
     Every output-layer matmul has exactly B rows, the row count of an eval
     forward over the batch's next states, because OpenBLAS can round a row of
     a 3-wide product differently at another row count; the 64-wide hidden
-    layers showed no such difference.
+    layers showed no such difference except in a 1-row product, so a lone
+    uncached row is computed along with the row before it.
     """
 
     def __init__(self, config: NetConfig, states: np.ndarray, batch: int):
@@ -255,11 +262,35 @@ class _FramePass:
         self.a1 = np.empty((k, h1))
         self.a2 = np.empty((k, h2))
         self.flags = np.empty(k * max(h1, h2), dtype=bool)
+        self.cache = np.empty((f, h2))
+        self.cached = np.zeros(f, dtype=bool)
+        self.cache_weights = np.zeros(net.param_count(config))
         self.rows, self.next_rows, self.index, self.next_index, self.actions, self.best = (
             np.empty(batch, dtype=np.intp) for _ in range(6))
         self.rewards = np.empty(batch)
         self.dones = np.empty(batch, dtype=bool)
         self.q = np.empty((batch, len(Action)))
+
+    def _fill_cache(self, target: NetParams) -> None:
+        """Cached target activations for every next row of the batch; uses
+        ``x``, ``a1`` and ``a2`` as scratch."""
+        # bit for bit, so weights that differ only in a zero's sign count as changed
+        if not np.array_equal(self.cache_weights.view(np.int64), target.flat.view(np.int64)):
+            self.cached.fill(False)
+            np.copyto(self.cache_weights, target.flat)
+        missing = np.sort(self.next_rows[~self.cached[self.next_rows]])
+        if len(missing) == 0:
+            return
+        # distinct rows; not np.unique, whose first call imports numpy.ma (1.3 MB)
+        missing = missing[np.append(True, missing[1:] != missing[:-1])]
+        if len(missing) == 1:  # never a 1-row product: the row before joins it
+            missing = np.array([missing[0] - 1, missing[0]])
+        m = len(missing)
+        x, a1, a2 = self.x[:m], self.a1[:m], self.a2[:m]
+        np.take(self.states, missing, axis=0, out=x, mode="clip")
+        net.hidden(target, x, a1, a2)
+        self.cache[missing] = a2
+        self.cached[missing] = True
 
     def targets(self, online: NetParams, target: NetParams, gamma: float) -> np.ndarray:
         """Double-Q targets of the batch loaded into ``rows``, ``rewards`` and
@@ -278,13 +309,13 @@ class _FramePass:
         np.take(self.slot, self.next_rows, out=self.next_index, mode="clip")
         self.ws.take(x, a1, a2, self.index, bad)
 
-        # From here on a1, a2 and ws.dz2 are scratch: the train rows are taken,
-        # and the loss writes dL/dz2 only later.
+        # From here on x, a1, a2 and ws.dz2 are scratch: the train rows are
+        # taken, and the loss writes dL/dz2 only later.
         next_a2 = self.ws.dz2
         np.take(a2, self.next_index, axis=0, out=next_a2, mode="clip")
         np.argmax(net.head(online, next_a2, self.q), axis=1, out=self.best)
-        net.hidden(target, x, a1, a2)
-        np.take(a2, self.next_index, axis=0, out=next_a2, mode="clip")
+        self._fill_cache(target)
+        np.take(self.cache, self.next_rows, axis=0, out=next_a2, mode="clip")
         q_target_next = net.head(target, next_a2, self.q)
         bootstrapped = q_target_next[np.arange(len(self.rows)), self.best]
         return self.rewards + gamma * bootstrapped * ~self.dones

@@ -59,6 +59,9 @@ class PerformanceReport:
 _REPORT_TYPES = sorted(typing.get_type_hints(PerformanceReport).items())
 
 
+# A non-finite Q-value is a NumericsError naming its day, so numpy's overflow
+# warnings would only repeat it ahead of the one error line.
+@np.errstate(over="ignore", invalid="ignore")
 def run_backtest(agent: Agent, frame: FeatureFrame, costs: CostModel) -> BacktestResult:
     """Greedy single pass over the whole frame: len(frame) - 1 steps.
 

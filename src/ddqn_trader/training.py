@@ -85,13 +85,19 @@ class TrainLog:
     config_snapshot: dict
 
 
+# Overflow in the net surfaces as a NumericsError naming the layer, so numpy's
+# warnings would only repeat it ahead of the one error line.
+@np.errstate(over="ignore", invalid="ignore")
 def run_training(
     config: TrainConfig, action_override: PolicyOverride | None = None
 ) -> tuple[TrainLog, Agent]:
     """Run the full training protocol; deterministic per (config, seed, data)."""
     streams = rng_streams(config.seed)
     agent = Agent.create(config.agent, seed=config.seed)
-    buffer = ReplayBuffer(config.agent.replay_capacity, config.env.frame.values)
+    # A ring that never wraps stores and draws the same slots at any capacity,
+    # so it holds no more than the run can store.
+    capacity = min(config.agent.replay_capacity, config.episodes * config.env.episode_length)
+    buffer = ReplayBuffer(capacity, config.env.frame.values)
     env = TradingEnv(config.env)
     records: list[EpisodeRecord] = []
     streak = 0

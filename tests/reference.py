@@ -1,8 +1,9 @@
 """The explicit-state reference that the frame path of ``train_step`` is tested against.
 
 Training never builds a batch of explicit states: the replay buffer stores
-frame rows, and ``agent._FramePass`` runs each network over the rows a batch
-touches. The tests compare that path bit for bit with the plain one kept
+frame rows, and ``agent._FramePass`` runs the online network over the rows a
+batch touches and keeps the target network's activations per frame row until
+its weights change. The tests compare that path bit for bit with the plain one kept
 here: a replay draw as explicit states and next states, and double-Q
 targets from one eval forward of each network over the next states.
 :func:`frame_targets` runs a hand-built batch through the frame path.

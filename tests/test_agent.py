@@ -9,6 +9,7 @@ from ddqn_trader.agent import (
     AgentConfig,
     EpsilonSchedule,
     ReplayBuffer,
+    _FramePass,
     epsilon_at,
     select_action,
     sync_target,
@@ -491,6 +492,7 @@ def test_store_rejects_row_without_next_state():
 @pytest.mark.parametrize("frame_rows, batch, sync_every", [
     (200, 16, 3),  # F > 2B: only the touched rows are computed
     (20, 32, 1),  # F < 2B, and a target sync after every step
+    (400, 16, 1),  # F >> 2B, and the cached target rows dropped at every step
 ])
 def test_frame_path_matches_reference_bit_for_bit(monkeypatch, frame_rows, batch, sync_every):
     import ddqn_trader.agent as agent_module
@@ -521,7 +523,13 @@ def test_frame_path_matches_reference_bit_for_bit(monkeypatch, frame_rows, batch
     saw_done = False
     for step in range(1, 13):
         if step == 6:  # a new target object, not a sync, is read from the next step on
+            # (with other values, or equal ones when the target syncs every step)
             agent.target, ref.target = agent.online.clone(), ref.online.clone()
+        if step == 8:  # a new target object with equal values
+            agent.target, ref.target = agent.target.clone(), ref.target.clone()
+        if step == 11:  # an edit in place, with no sync since the last step
+            for params in (agent.target, ref.target):
+                params.weights[1][::3] *= 0.5
         loss = train_step(agent, buffer)
         frame = agent._frame
         touched = np.unique(np.concatenate([frame.rows, frame.rows + 1]))
@@ -544,3 +552,35 @@ def test_frame_path_matches_reference_bit_for_bit(monkeypatch, frame_rows, batch
         assert np.array_equal(agent.adam.m, ref.adam.m)
         assert np.array_equal(agent.adam.v, ref.adam.v)
     assert saw_done and len(recorded) == 12
+
+
+def test_target_cache_computes_only_uncached_rows_never_one_alone():
+    # Target activations are cached per frame row. A batch that differs from
+    # the last in one next row leaves exactly one row uncached, which must not
+    # run as a 1-row product: OpenBLAS rounds those differently.
+    states = np.random.default_rng(3).normal(size=(40, 8))
+    config = AgentConfig(net=NetConfig(input_dim=8, dropout_rate=0.0, l2_activity=0.0),
+                         batch_size=8, replay_capacity=512)
+    agent = Agent.create(config, seed=2)
+    agent.target = init_params(config.net, np.random.default_rng(9))
+    frame = _FramePass(config.net, states, 8)
+    data = np.random.default_rng(4)
+    actions, rewards = data.integers(0, 3, size=8), data.normal(size=8) * 0.01
+    dones = np.zeros(8, dtype=bool)
+
+    def check(rows):
+        frame.rows[:], frame.rewards[:], frame.dones[:] = rows, rewards, dones
+        cached = frame.cached.copy()
+        y = frame.targets(agent.online, agent.target, config.gamma)
+        batch = TransitionBatch(states[rows], actions, rewards, states[rows + 1], dones)
+        assert np.array_equal(y, compute_targets(agent, batch))
+        return set(np.flatnonzero(frame.cached & ~cached).tolist())
+
+    rows = np.arange(0, 16, 2)
+    assert check(rows) == set(range(1, 17, 2))
+    assert check(rows) == set()  # all cached: the target runs over no row
+    for k, row in enumerate((20, 25, 30, 37)):
+        rows[k] = row
+        assert row + 1 in check(rows) <= {row, row + 1}
+    agent.target = agent.target.clone()  # equal values: the cache stays
+    assert check(rows) == set()

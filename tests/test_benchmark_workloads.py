@@ -24,7 +24,7 @@ def workloads():
     del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("name", ["eval_m3", "train_b256"])
+@pytest.mark.parametrize("name", ["eval_m3", "train_b256", "train_b4096"])
 def test_one_benchmark_iteration_reports_no_problems(workloads, tmp_path, name):
     w = workloads.WORKLOADS[name]
     inputs = workloads.setup(w, 0, str(tmp_path))

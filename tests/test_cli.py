@@ -316,16 +316,20 @@ def test_prepare_zero_close_names_file(workspace, capsys):
     assert _one_error_line(capsys) == f"error: {spx}: spx: non-positive close on {day}\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_numeric_divergence_exit_code(workspace):
+def test_numeric_divergence_exit_code(workspace, capsys):
+    # Each layer's overflow is a NumericsError naming it; numpy's own
+    # RuntimeWarnings would land on stderr ahead of that one line.
     tmp_path, config = workspace
     bad = tmp_path / "diverge.conf"
     bad.write_text(config.read_text() + "\nlearning_rate = 1e200\n")
     prep, run = tmp_path / "prep", tmp_path / "rundiv"
     assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    capsys.readouterr()
     code = main(["train", "--config", str(bad), "--frame", str(prep / "train_frame.csv"),
                  "--out", str(run)])
     assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: episode 0, step ") and err.count("\n") == 1, err
 
 
 def test_train_refuses_overwrite_without_force(workspace):
@@ -439,7 +443,6 @@ def test_evaluate_one_row_frame_exit_code(workspace, capsys):
     assert "at least 2 frame rows, got 1" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_evaluate_non_finite_q_values_exit_code(workspace, capsys):
     tmp_path, config = workspace
     prep, run = tmp_path / "prep", tmp_path / "run"
@@ -518,6 +521,22 @@ def test_evaluate_checkpoint_replay_capacity_past_ceiling_exit_code(workspace, c
     assert not (ws / "ev").exists()
 
 
+def _main_under_4gib(*argv):
+    """``cli.main(argv)`` in a child process limited to 4 GiB of address space."""
+    child = textwrap.dedent(f"""
+        import resource, sys
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, ({4 << 30}, hard))
+        from ddqn_trader import cli
+        sys.exit(cli.main(sys.argv[1:]))
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", child, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_evaluate_checkpoint_at_replay_ceiling_maps_no_buffer(workspace):
     # Evaluation stores no transition, so a checkpoint whose training run may
     # replay up to 10**9 transitions (25 GB of address space) evaluates in a
@@ -530,23 +549,25 @@ def test_evaluate_checkpoint_at_replay_ceiling_maps_no_buffer(workspace):
     record = json.loads(checkpoint.read_text())
     record["agent_config"]["replay_capacity"] = MAX_REPLAY_CAPACITY
     checkpoint.write_text(json.dumps(record))
-    child = textwrap.dedent(f"""
-        import resource, sys
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        resource.setrlimit(resource.RLIMIT_AS, ({4 << 30}, hard))
-        from ddqn_trader import cli
-        sys.exit(cli.main(sys.argv[1:]))
-    """)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", child, "evaluate", "--config", str(config),
-         "--checkpoint", str(checkpoint), "--frame", str(prep / "test_frame.csv"),
-         "--out", str(ws / "ev")],
-        env=env, capture_output=True, text=True, timeout=120)
+    done = _main_under_4gib("evaluate", "--config", config, "--checkpoint", checkpoint,
+                            "--frame", prep / "test_frame.csv", "--out", ws / "ev")
     assert done.returncode == 0, done.stderr
     assert (ws / "ev" / "report.json").exists()
+
+
+def test_train_at_replay_ceiling_maps_only_the_run(workspace):
+    # 2 episodes of 20 steps store 40 transitions, so the replay ring holds 40
+    # slots, not the 10**9 (25 GB of address space) the config allows.
+    ws, config = workspace
+    prep = ws / "prep"
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    big = ws / "big.conf"
+    big.write_text(config.read_text()
+                   + f"\nepisodes = 2\nreplay_capacity = {MAX_REPLAY_CAPACITY}\n")
+    done = _main_under_4gib("train", "--config", big, "--frame", prep / "train_frame.csv",
+                            "--out", ws / "run")
+    assert done.returncode == 0, done.stderr
+    assert (ws / "run" / "checkpoint.json").exists()
 
 
 def test_negative_seed_exit_code(workspace, capsys):

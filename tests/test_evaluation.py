@@ -161,7 +161,6 @@ def test_batched_backtest_matches_per_step_path(frame300, seed, trained):
     assert len(set(expected)) > 1  # a constant policy would not exercise trades and holds
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_backtest_non_finite_q_values_raise(frame300):
     agent = make_agent(seed=5)
     agent.online.flat[:] *= 1e120  # finite weights whose Q-values overflow
@@ -169,7 +168,6 @@ def test_backtest_non_finite_q_values_raise(frame300):
         run_backtest(agent, frame300, NO_COST)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_backtest_non_finite_q_values_name_first_bad_date(frame300):
     values = frame300.values.copy()
     values[17] = 1e308  # a finite feature row whose Q-values overflow

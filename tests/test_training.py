@@ -152,7 +152,6 @@ def test_summary_json(tmp_path):
     assert summary["config"]["agent"]["gamma"] == 0.9
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_loss_aborts_with_episode():
     config = small_config(trend_frame(sigma=0.01), episodes=2, lr=1e200)
     # the first gradient step comes at step 7, once 8 transitions fill a batch;
