@@ -83,7 +83,7 @@ class ReplayBuffer:
         """Copy the transitions at ``slots`` (from :meth:`draw`) into the arrays given."""
         for src, dst in ((self._rows, rows), (self._actions, actions),
                          (self._rewards, rewards), (self._dones, dones)):
-            np.take(src, slots, out=dst, mode="clip")
+            src.take(slots, out=dst, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -275,19 +275,23 @@ class _FramePass:
         """Cached target activations for every next row of the batch; uses
         ``x``, ``a1`` and ``a2`` as scratch."""
         # bit for bit, so weights that differ only in a zero's sign count as changed
-        if not np.array_equal(self.cache_weights.view(np.int64), target.flat.view(np.int64)):
+        if not (self.cache_weights.view(np.int64) == target.flat.view(np.int64)).all():
             self.cached.fill(False)
             np.copyto(self.cache_weights, target.flat)
-        missing = np.sort(self.next_rows[~self.cached[self.next_rows]])
+        missing = self.next_rows[~self.cached[self.next_rows]]
         if len(missing) == 0:
             return
+        missing.sort()
         # distinct rows; not np.unique, whose first call imports numpy.ma (1.3 MB)
-        missing = missing[np.append(True, missing[1:] != missing[:-1])]
+        first = np.empty(len(missing), dtype=bool)
+        first[0] = True
+        np.not_equal(missing[1:], missing[:-1], out=first[1:])
+        missing = missing[first]
         if len(missing) == 1:  # never a 1-row product: the row before joins it
             missing = np.array([missing[0] - 1, missing[0]])
         m = len(missing)
         x, a1, a2 = self.x[:m], self.a1[:m], self.a2[:m]
-        np.take(self.states, missing, axis=0, out=x, mode="clip")
+        self.states.take(missing, axis=0, out=x, mode="clip")
         net.hidden(target, x, a1, a2)
         self.cache[missing] = a2
         self.cached[missing] = True
@@ -299,25 +303,25 @@ class _FramePass:
         self.touched.fill(False)
         self.touched[self.rows] = True
         self.touched[self.next_rows] = True
-        touched_rows = np.flatnonzero(self.touched)
+        touched_rows = self.touched.nonzero()[0]
         k = len(touched_rows)
         self.slot[touched_rows] = self.order[:k]
         x, a1, a2 = self.x[:k], self.a1[:k], self.a2[:k]
-        np.take(self.states, touched_rows, axis=0, out=x, mode="clip")
+        self.states.take(touched_rows, axis=0, out=x, mode="clip")
         _, bad = net.hidden(online, x, a1, a2, self.flags)
-        np.take(self.slot, self.rows, out=self.index, mode="clip")
-        np.take(self.slot, self.next_rows, out=self.next_index, mode="clip")
+        self.slot.take(self.rows, out=self.index, mode="clip")
+        self.slot.take(self.next_rows, out=self.next_index, mode="clip")
         self.ws.take(x, a1, a2, self.index, bad)
 
         # From here on x, a1, a2 and ws.dz2 are scratch: the train rows are
         # taken, and the loss writes dL/dz2 only later.
         next_a2 = self.ws.dz2
-        np.take(a2, self.next_index, axis=0, out=next_a2, mode="clip")
-        np.argmax(net.head(online, next_a2, self.q), axis=1, out=self.best)
+        a2.take(self.next_index, axis=0, out=next_a2, mode="clip")
+        net.head(online, next_a2, self.q).argmax(axis=1, out=self.best)
         self._fill_cache(target)
-        np.take(self.cache, self.next_rows, axis=0, out=next_a2, mode="clip")
+        self.cache.take(self.next_rows, axis=0, out=next_a2, mode="clip")
         q_target_next = net.head(target, next_a2, self.q)
-        bootstrapped = q_target_next[np.arange(len(self.rows)), self.best]
+        bootstrapped = q_target_next[self.ws.row_ids[: len(self.rows)], self.best]
         return self.rewards + gamma * bootstrapped * ~self.dones
 
 

@@ -2,8 +2,11 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines inline.
 The two statistical criteria (06 learning sanity, 07 cost sensitivity) train
-real desk-scale agents and together take a few minutes.
+real desk-scale agents, one per seed and cost preset; ``workers.map_jobs`` runs
+those trainings side by side, one worker process per core.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -20,8 +23,9 @@ from ddqn_trader.net import (
     loss_and_grads,
     param_count,
 )
-from ddqn_trader.training import TrainConfig, run_training, write_log_csv
+from ddqn_trader.training import TrainConfig, run_training, save_checkpoint, write_log_csv
 from reference import TransitionBatch, frame_targets
+from workers import map_in_workers, map_jobs
 
 NO_COST = CostModel(0.0, 0.0)
 
@@ -275,6 +279,21 @@ def test_criterion_05_accounting_identities():
 
 # -------------------------------------------------------------- criterion 6
 
+def _learning_accuracy(train_frame, test_frame, oracle, seed):
+    config = TrainConfig(
+        env=EnvConfig(frame=train_frame, episode_length=252, costs=NO_COST),
+        agent=AgentConfig(net=NetConfig(input_dim=2), batch_size=256,
+                          replay_capacity=100_000),
+        schedule=EpsilonSchedule(total_episodes=200, linear_until=100),
+        episodes=200,
+        seed=seed,
+    )
+    _, agent = run_training(config)
+    result = run_backtest(agent, test_frame, NO_COST)
+    _, accuracy = score_actions(result.actions, oracle)
+    return accuracy
+
+
 @pytest.mark.slow
 def test_criterion_06_learning_sanity():
     prices = synth_generate(mu=0.01, sigma=0.0, n_days=700, seed=42, regime="meanrevert")
@@ -283,20 +302,8 @@ def test_criterion_06_learning_sanity():
         frame, SplitSpec(frame.dates[0], frame.dates[420], frame.dates[-1])
     )
     oracle = oracle_actions(test_frame.target_returns[1:], NO_COST)
-    accuracies = []
-    for seed in range(5):
-        config = TrainConfig(
-            env=EnvConfig(frame=train_frame, episode_length=252, costs=NO_COST),
-            agent=AgentConfig(net=NetConfig(input_dim=2), batch_size=256,
-                              replay_capacity=100_000),
-            schedule=EpsilonSchedule(total_episodes=200, linear_until=100),
-            episodes=200,
-            seed=seed,
-        )
-        _, agent = run_training(config)
-        result = run_backtest(agent, test_frame, NO_COST)
-        _, accuracy = score_actions(result.actions, oracle)
-        accuracies.append(accuracy)
+    accuracies = map_jobs(_learning_accuracy,
+                          [(train_frame, test_frame, oracle, seed) for seed in range(5)])
     passing = sum(a >= 0.90 for a in accuracies)
     verdict(6, "learning sanity on alternating market", passing >= 3,
             f"{passing}/5 seeds >= 0.90, accuracies "
@@ -304,6 +311,21 @@ def test_criterion_06_learning_sanity():
 
 
 # -------------------------------------------------------------- criterion 7
+
+def _neutral_frequency(train_frame, test_frame, seed, costs):
+    config = TrainConfig(
+        env=EnvConfig(frame=train_frame, episode_length=100, costs=costs),
+        agent=AgentConfig(net=NetConfig(input_dim=2), batch_size=256,
+                          replay_capacity=50_000),
+        schedule=EpsilonSchedule(total_episodes=120, linear_until=60),
+        episodes=120,
+        early_stop_streak=121,  # run the full budget for a fair comparison
+        seed=seed,
+    )
+    _, agent = run_training(config)
+    result = run_backtest(agent, test_frame, costs)
+    return float(np.mean(result.actions == int(Action.NEUTRAL)))
+
 
 @pytest.mark.slow
 def test_criterion_07_cost_sensitivity():
@@ -313,23 +335,11 @@ def test_criterion_07_cost_sensitivity():
         frame, SplitSpec(frame.dates[0], frame.dates[250], frame.dates[-1])
     )
 
-    def neutral_frequency(seed, costs):
-        config = TrainConfig(
-            env=EnvConfig(frame=train_frame, episode_length=100, costs=costs),
-            agent=AgentConfig(net=NetConfig(input_dim=2), batch_size=256,
-                              replay_capacity=50_000),
-            schedule=EpsilonSchedule(total_episodes=120, linear_until=60),
-            episodes=120,
-            early_stop_streak=121,  # run the full budget for a fair comparison
-            seed=seed,
-        )
-        _, agent = run_training(config)
-        result = run_backtest(agent, test_frame, costs)
-        return float(np.mean(result.actions == int(Action.NEUTRAL)))
-
     seeds = range(5)
-    high = [neutral_frequency(s, COST_PRESETS["high"]) for s in seeds]
-    none = [neutral_frequency(s, COST_PRESETS["none"]) for s in seeds]
+    freqs = map_jobs(_neutral_frequency,
+                     [(train_frame, test_frame, s, COST_PRESETS[preset])
+                      for preset in ("high", "none") for s in seeds])
+    high, none = freqs[: len(seeds)], freqs[len(seeds):]
     ok = float(np.median(high)) > float(np.median(none))
     failing = [s for s, (h, n) in enumerate(zip(high, none)) if h <= n]
     verdict(7, "neutral position under high costs", ok,
@@ -352,10 +362,10 @@ def test_criterion_08_random_agent_baseline():
 
 # -------------------------------------------------------------- criterion 9
 
-def test_criterion_09_training_determinism(tmp_path):
+def _determinism_config():
     prices = synth_generate(0.0004, 0.008, 200, seed=9)
     frame = build_features(ModelId.M0, {"spx": prices})
-    config = TrainConfig(
+    return TrainConfig(
         env=EnvConfig(frame=frame, episode_length=30, costs=CostModel()),
         agent=AgentConfig(net=NetConfig(input_dim=2), batch_size=8, replay_capacity=4096,
                           lr=1e-3, target_sync_every=10),
@@ -363,6 +373,10 @@ def test_criterion_09_training_determinism(tmp_path):
         episodes=6,
         seed=31,
     )
+
+
+def test_criterion_09_training_determinism(tmp_path):
+    config = _determinism_config()
     payloads = []
     for name in ("one.csv", "two.csv"):
         log, _ = run_training(config)
@@ -371,6 +385,28 @@ def test_criterion_09_training_determinism(tmp_path):
         payloads.append(path.read_bytes())
     verdict(9, "byte-identical training logs", payloads[0] == payloads[1],
             f"{len(payloads[0])} bytes each")
+
+
+def _trained_files(config, out_dir):
+    """The train log's and the checkpoint's bytes, with the BLAS thread setting."""
+    log, agent = run_training(config)
+    write_log_csv(log, out_dir / "train_log.csv")
+    save_checkpoint(agent, out_dir / "checkpoint.json")
+    return ((out_dir / "train_log.csv").read_bytes(), (out_dir / "checkpoint.json").read_bytes(),
+            os.environ.get("OPENBLAS_NUM_THREADS"))
+
+
+def test_worker_trains_like_this_process(tmp_path):
+    # the slow criteria train in workers: one must give the same files as here
+    config = _determinism_config()
+    (tmp_path / "worker").mkdir()
+    (tmp_path / "here").mkdir()
+    [(log, checkpoint, threads)] = map_in_workers(_trained_files,
+                                                  [(config, tmp_path / "worker")], workers=1)
+    here_log, here_checkpoint, _ = _trained_files(config, tmp_path / "here")
+    assert threads == "1"
+    assert log == here_log
+    assert checkpoint == here_checkpoint
 
 
 # ------------------------------------------------------------- criterion 10

@@ -1,4 +1,7 @@
 import math
+import os
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -584,3 +587,46 @@ def test_target_cache_computes_only_uncached_rows_never_one_alone():
         assert row + 1 in check(rows) <= {row, row + 1}
     agent.target = agent.target.clone()  # equal values: the cache stays
     assert check(rows) == set()
+
+
+# ------------------------------------------------------------- the hot path
+
+# numpy's Python-level wrappers that the gradient step calls as ndarray
+# methods or ufuncs instead: each entry costs a Python frame or more per call
+_WRAPPER_FILE = re.compile(r"numpy/(_?core/(fromnumeric|numeric)\.py|lib/)")
+_WRAPPERS = {"take", "sum", "mean", "argmax", "sort", "flatnonzero", "array_equal", "all",
+             "append"}
+
+
+def _wrappers_entered(call):
+    entered = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name in _WRAPPERS
+                and _WRAPPER_FILE.search(code.co_filename.replace(os.sep, "/"))):
+            entered.append(f"{code.co_filename}:{code.co_name}")
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def test_gradient_step_enters_no_numpy_wrapper():
+    assert _wrappers_entered(lambda: np.sum(np.ones(2)))  # the probe sees a wrapper
+    states = np.random.default_rng(6).normal(size=(421, 2))
+    config = AgentConfig(net=NetConfig(input_dim=2), batch_size=256, replay_capacity=4096,
+                         target_sync_every=1000)
+    agent = Agent.create(config, seed=0)
+    buffer = ReplayBuffer(config.replay_capacity, states)
+    for i in range(1000):
+        buffer.store(*transition(reward=0.001 * i, done=i % 50 == 0, seed=i, rows=len(states)))
+    for _ in range(3):
+        train_step(agent, buffer)
+    assert _wrappers_entered(lambda: train_step(agent, buffer)) == []  # warm target cache
+    sync_target(agent)
+    assert _wrappers_entered(lambda: train_step(agent, buffer)) == []  # cache refilled
+    assert np.array_equal(agent._frame.cache_weights, agent.target.flat)

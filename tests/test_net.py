@@ -378,6 +378,23 @@ def test_blocked_gradient_step_fails_like_reference(n, plant, l2, message):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [1, 3, 256, 513, 4096])
+def test_loss_is_mean_squared_error_plus_dot_penalty_bit_for_bit(n):
+    # no output file holds the loss yet; these are the bits one will hold
+    l2 = 1e-3
+    config = NetConfig(input_dim=5, dropout_rate=0.1, l2_activity=l2)
+    params = init_params(config, np.random.default_rng(1))
+    x, a1, a2, bad, actions, targets = _train_rows(config, params, n, None)
+    ws = Workspace(config, n)
+    ws.take(x, a1, a2, np.arange(n), bad)
+    loss, _ = ws.loss_and_grads(params, actions, targets, np.random.default_rng(99))
+    q = (a2 * ws.mask) @ params.weights[2] + params.biases[2]
+    err = q[np.arange(n), actions] - targets
+    flat1, flat2 = a1.ravel(), a2.ravel()
+    expected = float(np.mean(err**2)) + l2 * float(np.dot(flat1, flat1) + np.dot(flat2, flat2)) / n
+    assert loss.hex() == expected.hex()
+
+
 # -------------------------------------------------------------------- adam
 
 def test_adam_zero_grads_fixed_point():
