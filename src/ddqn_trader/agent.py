@@ -274,8 +274,10 @@ class _FramePass:
     def _fill_cache(self, target: NetParams) -> None:
         """Cached target activations for every next row of the batch; uses
         ``x``, ``a1`` and ``a2`` as scratch."""
-        # bit for bit, so weights that differ only in a zero's sign count as changed
-        if not (self.cache_weights.view(np.int64) == target.flat.view(np.int64)).all():
+        # bit for bit, so weights that differ only in a zero's sign count as
+        # changed; the ufunc is what .all() calls, without its Python frame
+        same = self.cache_weights.view(np.int64) == target.flat.view(np.int64)
+        if not np.logical_and.reduce(same, axis=None):
             self.cached.fill(False)
             np.copyto(self.cache_weights, target.flat)
         missing = self.next_rows[~self.cached[self.next_rows]]
@@ -313,9 +315,9 @@ class _FramePass:
         self.slot.take(self.next_rows, out=self.next_index, mode="clip")
         self.ws.take(x, a1, a2, self.index, bad)
 
-        # From here on x, a1, a2 and ws.dz2 are scratch: the train rows are
-        # taken, and the loss writes dL/dz2 only later.
-        next_a2 = self.ws.dz2
+        # From here on x, a1, a2 and the workspace's scratch are free: the
+        # train rows are taken, and train_q writes that scratch only later.
+        next_a2 = self.ws.scratch(len(self.rows), a2.shape[1])
         a2.take(self.next_index, axis=0, out=next_a2, mode="clip")
         net.head(online, next_a2, self.q).argmax(axis=1, out=self.best)
         self._fill_cache(target)

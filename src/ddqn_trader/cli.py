@@ -279,7 +279,6 @@ def cmd_evaluate(args) -> int:
             f"checkpoint expects {width} input features but frame has {frame.n_features}"
         )
     result = run_backtest(agent, frame, costs)
-    os.makedirs(args.out, exist_ok=True)
     _output_paths(args.out, ["report.json", "nav_curves.csv"], args.force)
     report_path, _ = emit_report({model.name: result}, costs, args.out, use_gross=args.gross)
     print(f"evaluated {model.name} over {len(result.rewards)} days -> {report_path}")

@@ -264,6 +264,8 @@ def emit_report(
         if res.dates != first.dates or not np.array_equal(res.market_returns,
                                                           first.market_returns):
             raise DataError("backtest results cover different windows")
+    if len(first.rewards) < 2:  # annualized_metrics needs two daily returns
+        raise DataError(f"a report needs at least 2 test days, got {len(first.rewards)}")
     oracle = oracle_actions(first.market_returns, costs)
     reports = [performance_report(res, oracle, name, use_gross) for name, res in items]
     reports.append(market_report(first, oracle))

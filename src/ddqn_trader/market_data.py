@@ -374,6 +374,8 @@ def synth_generate(
         raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
     if n_days < 10:
         raise ConfigError(f"n_days must be >= 10, got {n_days}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if regime not in ("trend", "meanrevert", "flat"):
         raise ConfigError(f"unknown regime {regime!r}")
     weekdays_left = int(np.busday_count(start, np.datetime64(date.max) + 1))

@@ -11,9 +11,13 @@ so gradients flow only through each sample's taken action plus the activity
 penalty, and the learning rate is batch-size invariant.
 
 Parameters live in one float64 vector with per-layer views into it, and the
-activations and gradients of a batch live in a reusable :class:`Workspace`,
-so a gradient step that keeps its workspace allocates no [batch, width]
-activation or gradient arrays.
+activations and gradients of a batch live in a reusable :class:`Workspace`.
+It holds four [batch, width] float64 buffers (a1, a2, the dropout mask and
+the dropped-out layer 2), so a gradient step that keeps its workspace
+allocates no [batch, width] arrays. Each hidden layer's dL/dz goes into one
+of them once its contents are spent: dL/dz2 over the dropped-out layer 2
+after dW3 has read it, dL/dz1 over a2 after the layer-2 backward factors
+have.
 
 The gradient step's elementwise chains (the dropout draw and mask, the dropped
 layer 2, and the dropout, L2 and ReLU factors of dL/dz2 and dL/dz1) run over
@@ -158,9 +162,11 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None 
 
 
 def _all_finite(arr: np.ndarray, flags: np.ndarray) -> bool:
-    """np.isfinite(arr).all(), written into the bool scratch ``flags``."""
+    """np.isfinite(arr).all(), written into the bool scratch ``flags``. The
+    ufunc is the one .all() calls, without the Python frame of numpy's
+    ``_methods._all``."""
     ok = np.isfinite(arr, out=flags[: arr.size].reshape(arr.shape))
-    return bool(ok.all())
+    return bool(np.logical_and.reduce(ok, axis=None))
 
 
 def hidden(params: NetParams, x: np.ndarray, a1=None, a2=None, flags=None):
@@ -192,16 +198,22 @@ def head(params: NetParams, a2: np.ndarray, out: np.ndarray | None = None) -> np
 class Workspace:
     """Activation and gradient buffers for batches of up to ``batch`` rows.
 
-    A gradient step that reuses one allocates no [batch, width] arrays. The
-    first blocks of the dropped-out layer 2's buffer and of the bool flags
-    are the scratch of the L2 and ReLU factors once dW3 is computed, and the
-    flags' first block holds the kept units while a mask is drawn. Until
-    :meth:`loss_and_grads` runs, ``dz1`` and ``dz2`` are free for the
-    caller's scratch.
+    A gradient step that reuses one allocates no [batch, width] arrays, and
+    the workspace holds four of them: ``a1``, ``a2``, the dropout mask and
+    the dropped-out layer 2. The two hidden gradients reuse spent buffers:
+    dL/dz2 goes over the dropped-out layer 2 once dW3 has read it, and
+    dL/dz1 over ``a2`` (sized for the wider hidden layer) once the layer-2
+    backward factors have read it. The L2 addend has its own one-block tile,
+    and the bool flags' first block holds the ReLU factor, or the kept units
+    while a mask is drawn. From a :meth:`take` until :meth:`train_q` runs,
+    :meth:`scratch` is free for the caller.
 
     Use: :meth:`take`, then :meth:`train_q` or :meth:`loss_and_grads`.
-    Returned arrays and gradients are views into the buffers, overwritten by
-    the next call.
+    :meth:`loss_and_grads` consumes the rows of its take, whose ``a2`` it
+    overwrites: a later :meth:`train_q` or :meth:`loss_and_grads` raises
+    ValueError until the next :meth:`take`. Returned arrays and gradients are
+    views into the buffers, overwritten by the next call; ``mask`` stays
+    valid until the next :meth:`train_q`.
     """
 
     def __init__(self, config: NetConfig, batch: int):
@@ -209,13 +221,13 @@ class Workspace:
         self.config = config
         self.x = np.empty((batch, config.input_dim))
         self.a1 = np.empty((batch, h1))
-        self.a2 = np.empty((batch, h2))
+        self._a2 = np.empty(batch * max(h1, h2))  # a2, then dL/dz1
+        self.a2 = self._a2[: batch * h2].reshape(batch, h2)
         self.q = np.empty((batch, len(Action)))
-        self.dz1 = np.empty((batch, h1))
-        self.dz2 = np.empty((batch, h2))
         self.dq = np.empty((batch, len(Action)))
         self._mask = np.empty((batch, h2))
-        self._scratch = np.empty(batch * max(h1, h2))  # dropped-out a2, then L2 terms
+        self._scratch = np.empty(batch * max(h1, h2))  # dropped-out a2, then dL/dz2
+        self._addend = np.empty(min(batch, TRAIN_BLOCK_ROWS) * max(h1, h2))  # L2 terms
         self._flags = np.empty(batch * max(h1, h2, len(Action)), dtype=bool)
         self.grads = NetParams.from_flat(np.empty(param_count(config)), config.layer_shapes)
         self.row_ids = np.arange(batch)  # 0..batch-1, to pick one Q-value per row
@@ -223,9 +235,15 @@ class Workspace:
         self.mask: np.ndarray | None = None  # dropout mask of the last train_q
         self._dropped: np.ndarray | None = None
         self._bad: str | None = None
+        self._spent = False  # the train rows' a2 holds dL/dz1
 
     def _view(self, buf: np.ndarray, width: int) -> np.ndarray:
         return buf[: self.rows * width].reshape(self.rows, width)
+
+    def scratch(self, rows: int, width: int) -> np.ndarray:
+        """[rows, width] of the dropped-out layer 2's buffer, free for the
+        caller from a :meth:`take` until :meth:`train_q` runs."""
+        return self._scratch[: rows * width].reshape(rows, width)
 
     def _tile(self, buf: np.ndarray, width: int) -> np.ndarray:
         """The first block of ``buf`` as [rows, width]: one block's scratch."""
@@ -243,11 +261,14 @@ class Workspace:
             src.take(index, axis=0, out=dst[:n], mode="clip")
         self.rows = n
         self._bad = bad
+        self._spent = False
 
     def train_q(self, params: NetParams, rng: np.random.Generator | None) -> np.ndarray:
         """Train-mode Q-values of the train rows: a fresh inverted-dropout mask
         over layer 2, drawn from ``rng`` block by block in row order (the same
         doubles as one whole-batch draw), then the output layer."""
+        if self._spent:
+            raise ValueError("the train rows were spent by loss_and_grads; take new ones")
         n, rate = self.rows, self.config.dropout_rate
         a2 = self.a2[:n]
         if rate > 0.0:
@@ -281,9 +302,10 @@ class Workspace:
         n = self.rows
         if len(actions) != n or len(targets) != n:
             raise ValueError(f"need {n} actions and targets, got {len(actions)} and {len(targets)}")
-        if not np.isfinite(targets).all():
+        if not _all_finite(targets, self._flags):
             raise NumericsError("non-finite targets")
         q = self.train_q(params, rng)
+        self._spent = True
         if self._bad is not None:
             raise NumericsError(f"non-finite values in {self._bad}")
         if not _all_finite(q, self._flags):
@@ -306,11 +328,13 @@ class Workspace:
         dq[rows, actions] = 2.0 * err / n
         np.matmul(self._dropped.T, dq, out=g.weights[2])
         np.add.reduce(dq, axis=0, out=g.biases[2])
-        dz2 = np.matmul(dq, w[2].T, out=self.dz2[:n])
+        # the dropped-out layer 2 is spent: dL/dz2 goes over it
+        dz2 = np.matmul(dq, w[2].T, out=self._view(self._scratch, a2.shape[1]))
         self._backward_blocks(dz2, a2, self.mask)
         np.matmul(a1.T, dz2, out=g.weights[1])
         np.add.reduce(dz2, axis=0, out=g.biases[1])
-        dz1 = np.matmul(dz2, w[1].T, out=self.dz1[:n])
+        # and so is a2: dL/dz1 goes over it
+        dz1 = np.matmul(dz2, w[1].T, out=self._view(self._a2, a1.shape[1]))
         self._backward_blocks(dz1, a1, None)
         np.matmul(x.T, dz1, out=g.weights[0])
         np.add.reduce(dz1, axis=0, out=g.biases[0])
@@ -323,7 +347,7 @@ class Workspace:
         n, width = a.shape
         l2 = self.config.l2_activity
         coef = 2.0 * l2 / n
-        addend, live = self._tile(self._scratch, width), self._tile(self._flags, width)
+        addend, live = self._tile(self._addend, width), self._tile(self._flags, width)
         for b in _row_blocks(n):
             d, ab = dz[b], a[b]
             if mask is not None:
@@ -385,9 +409,10 @@ def loss_and_grads(
     states = np.ascontiguousarray(_as_states(states, config))
     n = len(states)
     ws = Workspace(config, n)
-    # dz1 and dz2 are free until the loss runs: the pass goes there, not into
-    # two more [n, width] arrays, and take copies it to the train rows
-    a1, a2 = ws.dz1[:n], ws.dz2[:n]
+    # the mask and the dropped-out layer 2 are free until train_q runs: the
+    # pass goes there, not into two more [n, width] arrays, and take copies
+    # it to the train rows
+    a1, a2 = ws.scratch(n, config.hidden_dims[0]), ws._mask[:n]
     _, bad = hidden(params, states, a1, a2, ws._flags)
     ws.take(states, a1, a2, np.arange(n), bad)
     return ws.loss_and_grads(params, actions, targets, rng)

@@ -596,6 +596,9 @@ def test_target_cache_computes_only_uncached_rows_never_one_alone():
 _WRAPPER_FILE = re.compile(r"numpy/(_?core/(fromnumeric|numeric)\.py|lib/)")
 _WRAPPERS = {"take", "sum", "mean", "argmax", "sort", "flatnonzero", "array_equal", "all",
              "append"}
+# the Python functions behind ndarray methods such as .all() and .sum(): every
+# frame entered here counts
+_METHODS_FILE = re.compile(r"numpy/_?core/_methods\.py$")
 
 
 def _wrappers_entered(call):
@@ -603,8 +606,9 @@ def _wrappers_entered(call):
 
     def profile(frame, event, arg):
         code = frame.f_code
-        if (event == "call" and code.co_name in _WRAPPERS
-                and _WRAPPER_FILE.search(code.co_filename.replace(os.sep, "/"))):
+        path = code.co_filename.replace(os.sep, "/")
+        if event == "call" and (_METHODS_FILE.search(path) or (
+                code.co_name in _WRAPPERS and _WRAPPER_FILE.search(path))):
             entered.append(f"{code.co_filename}:{code.co_name}")
 
     sys.setprofile(profile)
@@ -617,6 +621,7 @@ def _wrappers_entered(call):
 
 def test_gradient_step_enters_no_numpy_wrapper():
     assert _wrappers_entered(lambda: np.sum(np.ones(2)))  # the probe sees a wrapper
+    assert _wrappers_entered(lambda: np.ones(2).all())  # and ndarray.all()'s Python frame
     states = np.random.default_rng(6).normal(size=(421, 2))
     config = AgentConfig(net=NetConfig(input_dim=2), batch_size=256, replay_capacity=4096,
                          target_sync_every=1000)

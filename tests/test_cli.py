@@ -434,13 +434,17 @@ def test_evaluate_one_row_frame_exit_code(workspace, capsys):
     assert main(["train", "--config", str(config), "--frame", str(prep / "train_frame.csv"),
                  "--out", str(run)]) == 0
     frame = prep / "test_frame.csv"
-    frame.write_text("\n".join(frame.read_text().splitlines()[:2]) + "\n")
-    capsys.readouterr()
-    code = main(["evaluate", "--config", str(config), "--checkpoint",
-                 str(run / "checkpoint.json"), "--frame", str(frame),
-                 "--out", str(tmp_path / "ev")])
-    assert code == 2
-    assert "at least 2 frame rows, got 1" in capsys.readouterr().err
+    lines = frame.read_text().splitlines()
+    # one row is no test day; two rows are one, too few for annualized metrics
+    for rows, message in ((1, "at least 2 frame rows, got 1"), (2, "at least 2 test days, got 1")):
+        frame.write_text("\n".join(lines[: 1 + rows]) + "\n")
+        capsys.readouterr()
+        code = main(["evaluate", "--config", str(config), "--checkpoint",
+                     str(run / "checkpoint.json"), "--frame", str(frame),
+                     "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert message in _one_error_line(capsys)
+        assert not (tmp_path / "ev").exists()
 
 
 def test_evaluate_non_finite_q_values_exit_code(workspace, capsys):
@@ -589,6 +593,7 @@ def test_negative_seed_exit_code(workspace, capsys):
     (["--start-date", "9999-12-30", "--days", "20"], "at most 2 weekdays"),
     (["--days", "100000000000000"], "runs past 9999-12-31"),
     (["--days", str(10**20)], "runs past 9999-12-31"),
+    (["--seed", "-1"], "seed must be >= 0"),
 ])
 def test_synth_bad_number_exit_code(tmp_path, capsys, args, message):
     out = tmp_path / "x.csv"

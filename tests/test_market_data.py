@@ -493,6 +493,8 @@ def test_synth_validation():
         synth_generate(0.0, 0.01, 5, 0)
     with pytest.raises(ValueError, match="regime"):
         synth_generate(0.0, 0.01, 20, 0, regime="chaotic")
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        synth_generate(0.0, 0.01, 20, -1)
 
 
 # ------------------------------------------------------------ frame CSV io

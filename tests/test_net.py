@@ -8,6 +8,7 @@ from ddqn_trader.env import Action
 from ddqn_trader.errors import ConfigError, NumericsError
 from ddqn_trader.net import (
     EVAL_BLOCK_ROWS,
+    TRAIN_BLOCK_ROWS,
     NetConfig,
     NetParams,
     Workspace,
@@ -393,6 +394,49 @@ def test_loss_is_mean_squared_error_plus_dot_penalty_bit_for_bit(n):
     flat1, flat2 = a1.ravel(), a2.ravel()
     expected = float(np.mean(err**2)) + l2 * float(np.dot(flat1, flat1) + np.dot(flat2, flat2)) / n
     assert loss.hex() == expected.hex()
+
+
+def _owned_nbytes(ws):
+    """Bytes of the distinct buffers behind the workspace's arrays."""
+    roots = {}
+    for arr in [*vars(ws).values(), ws.grads.flat]:
+        if isinstance(arr, np.ndarray):
+            while arr.base is not None:
+                arr = arr.base
+            roots[id(arr)] = arr
+    return sum(arr.nbytes for arr in roots.values())
+
+
+def test_workspace_holds_four_batch_wide_buffers():
+    # a1, a2 (dL/dz1 goes over it), the dropout mask and the dropped-out
+    # layer 2 (dL/dz2 goes over it): no [B, h] buffer of its own for either
+    # gradient, only a one-block tile for the L2 terms
+    config = NetConfig(input_dim=8)
+    b, h = 4096, max(config.hidden_dims)
+    narrow = config.input_dim + 2 * len(Action) + 1  # x, q, dq and row_ids, 8 bytes a cell
+    bound = (8 * b * (4 * h + narrow) + 8 * TRAIN_BLOCK_ROWS * h
+             + b * h + 8 * param_count(config))  # the bool flags and the gradients
+    assert _owned_nbytes(Workspace(config, b)) <= bound
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_spent_train_rows_raise_until_the_next_take(dropout):
+    config = NetConfig(input_dim=3, dropout_rate=dropout, l2_activity=1e-3)
+    params = init_params(config, np.random.default_rng(0))
+    data = np.random.default_rng(1)
+    states, actions, targets = data.normal(size=(8, 3)), data.integers(0, 3, 8), data.normal(size=8)
+    ws = Workspace(config, 8)
+    load_train_rows(ws, params, states)
+    _, grads = ws.loss_and_grads(params, actions, targets, np.random.default_rng(2))
+    first = grads.flat.copy()
+    with pytest.raises(ValueError, match="spent by loss_and_grads"):
+        ws.train_q(params, np.random.default_rng(2))
+    with pytest.raises(ValueError, match="spent by loss_and_grads"):
+        ws.loss_and_grads(params, actions, targets, np.random.default_rng(2))
+    load_train_rows(ws, params, states)
+    ws.train_q(params, np.random.default_rng(2))  # a train_q spends nothing
+    _, grads = ws.loss_and_grads(params, actions, targets, np.random.default_rng(2))
+    assert grads.flat.tobytes() == first.tobytes()
 
 
 # -------------------------------------------------------------------- adam
