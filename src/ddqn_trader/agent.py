@@ -234,69 +234,79 @@ def select_action(
 class _FramePass:
     """Buffers of the gradient step over one states matrix of F rows.
 
-    A batch of B transitions touches at most min(F, 2B) rows: each
-    transition's row and the next. The online network's layers 1–2 run once
-    over those rows. The target network's layer-2 activations are kept per
-    frame row in ``cache`` ([F, h2]), valid where ``cached`` is set and
-    computed with the weights in ``cache_weights``. A step whose target
-    weights differ from those, by a sync, a new target object or an edit in
-    place, first drops every row. Then the target's layers 1–2 run over the
-    distinct next rows the cache lacks, and only those. The states matrix is
-    the training frame, which must not change while the cache is kept.
-    Every output-layer matmul has exactly B rows, the row count of an eval
-    forward over the batch's next states, because OpenBLAS can round a row of
-    a 3-wide product differently at another row count; the 64-wide hidden
-    layers showed no such difference except in a 1-row product, so a lone
-    uncached row is computed along with the row before it.
+    A batch of B transitions touches at most min(F, 2B) rows, each
+    transition's row and the next; the online network runs once over them.
+    The target's Q-values are kept per frame row in ``cache`` ([F, 3]), valid
+    where ``cached`` is set and computed with ``cache_weights``. New target
+    weights (a sync, a new target object, an edit in place) drop every row,
+    and the target runs over the distinct next rows the cache lacks, and only
+    those. The frame must not change while the cache is kept.
+    The targets equal an eval forward's over the B next states, bit for bit:
+    OpenBLAS rounds an output-layer row alike wherever it falls in a whole
+    4-row group, a tail row (one of the last n mod 4) alike in products with
+    the same tail, and hidden rows alike at 2 rows or more. So a pass repeats
+    its last row to a multiple of 4 and ends with the next rows of the batch's
+    last B mod 4 transitions as its tail; the target recomputes those rows at
+    every step, so that its pass is never a lone tail row.
     """
 
     def __init__(self, config: NetConfig, states: np.ndarray, batch: int):
         f, k = len(states), min(len(states), 2 * batch)
+        n = k + -k % 4 + batch % 4  # rows of the longest padded pass
         h1, h2 = config.hidden_dims
         self.states = states
         self.ws = net.Workspace(config, batch)
-        self.touched = np.zeros(f, dtype=bool)
+        self.touched, self.wanted, self.cached = (np.zeros(f, dtype=bool) for _ in range(3))
         self.slot = np.zeros(f, dtype=np.intp)  # touched row -> its row in x, a1, a2
         self.order = np.arange(k)
-        self.x = np.empty((k, config.input_dim))
-        self.a1 = np.empty((k, h1))
-        self.a2 = np.empty((k, h2))
-        self.flags = np.empty(k * max(h1, h2), dtype=bool)
-        self.cache = np.empty((f, h2))
-        self.cached = np.zeros(f, dtype=bool)
+        self.src = np.empty(n, dtype=np.intp)  # frame rows of a padded pass
+        self.x, self.a1, self.a2, self.pass_q = (
+            np.empty((n, width)) for width in (config.input_dim, h1, h2, len(Action)))
+        self.flags = np.empty(n * max(h1, h2), dtype=bool)
+        self.cache = np.empty((f, len(Action)))
         self.cache_weights = np.zeros(net.param_count(config))
         self.rows, self.next_rows, self.index, self.next_index, self.actions, self.best = (
             np.empty(batch, dtype=np.intp) for _ in range(6))
-        self.rewards = np.empty(batch)
-        self.dones = np.empty(batch, dtype=bool)
+        self.rewards, self.dones = np.empty(batch), np.empty(batch, dtype=bool)
         self.q = np.empty((batch, len(Action)))
+        tail = slice(batch - batch % 4, batch)  # the last B mod 4 transitions
+        self.tail_next, self.tail_q = self.next_rows[tail], self.q[tail]
 
-    def _fill_cache(self, target: NetParams) -> None:
-        """Cached target activations for every next row of the batch; uses
-        ``x``, ``a1`` and ``a2`` as scratch."""
+    def _pass(self, params: NetParams, rows: np.ndarray, flags=None):
+        """Layers 1–3 of ``params`` over the frame ``rows``, the last repeated
+        to a multiple of 4, then ``tail_next``. Returns the Q-values of
+        ``rows``, those of the tail, and :func:`net.hidden`'s report."""
+        m = len(rows)
+        body = m + -m % 4
+        src = self.src[: body + len(self.tail_next)]
+        src[:m] = rows
+        src[m:body] = rows[-1]
+        src[body:] = self.tail_next
+        n = len(src)
+        x, a1, a2 = self.x[:n], self.a1[:n], self.a2[:n]
+        self.states.take(src, axis=0, out=x, mode="clip")
+        _, bad = net.hidden(params, x, a1, a2, flags)
+        q = net.head(params, a2, self.pass_q[:n])
+        return q[:m], q[body:], bad
+
+    def _fill_cache(self, target: NetParams) -> np.ndarray:
+        """Target Q-values of every next row of the batch; returns the tail's."""
         # bit for bit, so weights that differ only in a zero's sign count as
         # changed; the ufunc is what .all() calls, without its Python frame
         same = self.cache_weights.view(np.int64) == target.flat.view(np.int64)
         if not np.logical_and.reduce(same, axis=None):
             self.cached.fill(False)
             np.copyto(self.cache_weights, target.flat)
-        missing = self.next_rows[~self.cached[self.next_rows]]
+        self.cached[self.tail_next] = False  # the tail needs them in the pass
+        self.wanted.fill(False)
+        self.wanted[self.next_rows] = True
+        missing = np.greater(self.wanted, self.cached, out=self.wanted).nonzero()[0]
         if len(missing) == 0:
-            return
-        missing.sort()
-        # distinct rows; not np.unique, whose first call imports numpy.ma (1.3 MB)
-        first = np.empty(len(missing), dtype=bool)
-        first[0] = True
-        np.not_equal(missing[1:], missing[:-1], out=first[1:])
-        missing = missing[first]
-        if len(missing) == 1:  # never a 1-row product: the row before joins it
-            missing = np.array([missing[0] - 1, missing[0]])
-        m = len(missing)
-        x, a1, a2 = self.x[:m], self.a1[:m], self.a2[:m]
-        self.states.take(missing, axis=0, out=x, mode="clip")
-        net.hidden(target, x, a1, a2)
-        self.cache[missing] = a2
+            return self.tail_q  # empty: with a tail, its rows are missing
+        q, tail_q, _ = self._pass(target, missing)
+        self.cache[missing] = q
         self.cached[missing] = True
+        return tail_q
 
     def targets(self, online: NetParams, target: NetParams, gamma: float) -> np.ndarray:
         """Double-Q targets of the batch loaded into ``rows``, ``rewards`` and
@@ -306,24 +316,20 @@ class _FramePass:
         self.touched[self.rows] = True
         self.touched[self.next_rows] = True
         touched_rows = self.touched.nonzero()[0]
-        k = len(touched_rows)
-        self.slot[touched_rows] = self.order[:k]
-        x, a1, a2 = self.x[:k], self.a1[:k], self.a2[:k]
-        self.states.take(touched_rows, axis=0, out=x, mode="clip")
-        _, bad = net.hidden(online, x, a1, a2, self.flags)
+        self.slot[touched_rows] = self.order[: len(touched_rows)]
+        q, tail_q, bad = self._pass(online, touched_rows, self.flags)
         self.slot.take(self.rows, out=self.index, mode="clip")
         self.slot.take(self.next_rows, out=self.next_index, mode="clip")
-        self.ws.take(x, a1, a2, self.index, bad)
+        self.ws.take(self.x, self.a1, self.a2, self.index, bad)
 
-        # From here on x, a1, a2 and the workspace's scratch are free: the
-        # train rows are taken, and train_q writes that scratch only later.
-        next_a2 = self.ws.scratch(len(self.rows), a2.shape[1])
-        a2.take(self.next_index, axis=0, out=next_a2, mode="clip")
-        net.head(online, next_a2, self.q).argmax(axis=1, out=self.best)
-        self._fill_cache(target)
-        self.cache.take(self.next_rows, axis=0, out=next_a2, mode="clip")
-        q_target_next = net.head(target, next_a2, self.q)
-        bootstrapped = q_target_next[self.ws.row_ids[: len(self.rows)], self.best]
+        # x, a1 and a2 are free from here on: the train rows are taken
+        q.take(self.next_index, axis=0, out=self.q, mode="clip")
+        self.tail_q[:] = tail_q
+        self.q.argmax(axis=1, out=self.best)
+        tail_q = self._fill_cache(target)
+        self.cache.take(self.next_rows, axis=0, out=self.q, mode="clip")
+        self.tail_q[:] = tail_q
+        bootstrapped = self.q[self.ws.row_ids[: len(self.rows)], self.best]
         return self.rewards + gamma * bootstrapped * ~self.dones
 
 

@@ -25,9 +25,11 @@ row blocks of ``TRAIN_BLOCK_ROWS``, so each chain reads a block from memory
 once and not once per operation. Every value is computed by the same
 operations as in one whole-batch pass, so the gradients and the dropout
 generator's state are the same bit for bit. The products stay whole-batch:
-the three weight gradients and the bias sums reduce over rows, the output
-layer keeps its row count (a row of a 3-wide product can round differently at
-another), and dL/dz2 @ W2^T loses OpenBLAS's second thread when blocked.
+the three weight gradients and the bias sums reduce over rows, and
+dL/dz2 @ W2^T loses OpenBLAS's second thread when blocked. OpenBLAS rounds an
+output-layer row alike wherever it falls in a whole 4-row group, a tail row
+(one of the last n mod 4) alike in products with the same tail, and hidden
+rows alike at 2 rows or more (``tests/test_blas_rounding.py`` pins these).
 
 The gradient step calls ndarray methods and ufuncs (``a.take``,
 ``np.add.reduce``, ``a.argmax``) rather than numpy's Python-level wrappers
@@ -54,8 +56,8 @@ ADAM_EPS = 1e-8
 
 # Rows per layers-1–2 block of an eval forward. OpenBLAS runs products this
 # small on one thread, whose speed does not depend on where the operands sit in
-# memory; the output layer still runs once over all rows, since a row of the
-# 3-wide product can round differently at another row count.
+# memory. The output layer runs once over all rows: a row rounds by whether it
+# falls in a whole 4-row group or in the tail, the last n mod 4 rows.
 EVAL_BLOCK_ROWS = 128
 
 # Rows per block of the gradient step's elementwise passes. A 512-row block of
@@ -205,8 +207,7 @@ class Workspace:
     dL/dz1 over ``a2`` (sized for the wider hidden layer) once the layer-2
     backward factors have read it. The L2 addend has its own one-block tile,
     and the bool flags' first block holds the ReLU factor, or the kept units
-    while a mask is drawn. From a :meth:`take` until :meth:`train_q` runs,
-    :meth:`scratch` is free for the caller.
+    while a mask is drawn.
 
     Use: :meth:`take`, then :meth:`train_q` or :meth:`loss_and_grads`.
     :meth:`loss_and_grads` consumes the rows of its take, whose ``a2`` it
@@ -239,11 +240,6 @@ class Workspace:
 
     def _view(self, buf: np.ndarray, width: int) -> np.ndarray:
         return buf[: self.rows * width].reshape(self.rows, width)
-
-    def scratch(self, rows: int, width: int) -> np.ndarray:
-        """[rows, width] of the dropped-out layer 2's buffer, free for the
-        caller from a :meth:`take` until :meth:`train_q` runs."""
-        return self._scratch[: rows * width].reshape(rows, width)
 
     def _tile(self, buf: np.ndarray, width: int) -> np.ndarray:
         """The first block of ``buf`` as [rows, width]: one block's scratch."""
@@ -412,7 +408,7 @@ def loss_and_grads(
     # the mask and the dropped-out layer 2 are free until train_q runs: the
     # pass goes there, not into two more [n, width] arrays, and take copies
     # it to the train rows
-    a1, a2 = ws.scratch(n, config.hidden_dims[0]), ws._mask[:n]
+    a1, a2 = ws._scratch[: n * config.hidden_dims[0]].reshape(n, -1), ws._mask[:n]
     _, bad = hidden(params, states, a1, a2, ws._flags)
     ws.take(states, a1, a2, np.arange(n), bad)
     return ws.loss_and_grads(params, actions, targets, rng)

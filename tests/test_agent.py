@@ -496,6 +496,13 @@ def test_store_rejects_row_without_next_state():
     (200, 16, 3),  # F > 2B: only the touched rows are computed
     (20, 32, 1),  # F < 2B, and a target sync after every step
     (400, 16, 1),  # F >> 2B, and the cached target rows dropped at every step
+    # B mod 4 != 0: the last B mod 4 transitions run as the tail of each head
+    (200, 17, 3),
+    (200, 18, 2),
+    (200, 19, 1),
+    (7, 3, 2),  # F < 2B with a tail of 3, and most rows touched
+    (300, 2, 5),  # a batch that is only a tail
+    (40, 7, 4),
 ])
 def test_frame_path_matches_reference_bit_for_bit(monkeypatch, frame_rows, batch, sync_every):
     import ddqn_trader.agent as agent_module
@@ -558,9 +565,10 @@ def test_frame_path_matches_reference_bit_for_bit(monkeypatch, frame_rows, batch
 
 
 def test_target_cache_computes_only_uncached_rows_never_one_alone():
-    # Target activations are cached per frame row. A batch that differs from
-    # the last in one next row leaves exactly one row uncached, which must not
-    # run as a 1-row product: OpenBLAS rounds those differently.
+    # Target Q-values are cached per frame row. A batch that differs from the
+    # last in one next row leaves exactly one row uncached, which runs repeated
+    # to 4 rows: OpenBLAS rounds a row of a whole 4-row group alike in every
+    # product, and a 1-row product differently. The padding caches no other row.
     states = np.random.default_rng(3).normal(size=(40, 8))
     config = AgentConfig(net=NetConfig(input_dim=8, dropout_rate=0.0, l2_activity=0.0),
                          batch_size=8, replay_capacity=512)
@@ -587,6 +595,31 @@ def test_target_cache_computes_only_uncached_rows_never_one_alone():
         assert row + 1 in check(rows) <= {row, row + 1}
     agent.target = agent.target.clone()  # equal values: the cache stays
     assert check(rows) == set()
+
+
+@pytest.mark.parametrize("batch", [12, 13])
+def test_target_cache_holds_eval_q_values_of_next_rows(batch):
+    # The cache holds the target's Q-values per frame row, computed in whole
+    # 4-row groups: below the last F mod 4 rows, which an eval forward over
+    # the frame runs as its tail, each cached row equals that forward's.
+    states = np.random.default_rng(5).normal(size=(83, 8))
+    body = len(states) - len(states) % 4
+    config = AgentConfig(net=NetConfig(input_dim=8), batch_size=batch, replay_capacity=512)
+    agent = Agent.create(config, seed=4)
+    agent.target = init_params(config.net, np.random.default_rng(11))
+    q_eval = forward(agent.target, states, config.net)
+    frame = _FramePass(config.net, states, batch)
+    data = np.random.default_rng(batch)
+    next_rows = set()
+    for _ in range(6):
+        frame.rows[:] = data.integers(0, len(states) - 1, size=batch)
+        frame.rewards[:], frame.dones[:] = 0.0, False
+        frame.targets(agent.online, agent.target, config.gamma)
+        next_rows |= set((frame.rows + 1).tolist())
+        cached = np.flatnonzero(frame.cached)
+        assert set(cached.tolist()) == next_rows  # only next rows, and all of them
+        below = cached[cached < body]
+        assert np.array_equal(frame.cache[below], q_eval[below])
 
 
 # ------------------------------------------------------------- the hot path
