@@ -242,17 +242,13 @@ class _FramePass:
     and the target runs over the distinct next rows the cache lacks, and only
     those. The frame must not change while the cache is kept.
     The targets equal an eval forward's over the B next states, bit for bit:
-    OpenBLAS rounds an output-layer row alike wherever it falls in a whole
-    4-row group, a tail row (one of the last n mod 4) alike in products with
-    the same tail, and hidden rows alike at 2 rows or more. So a pass repeats
-    its last row to a multiple of 4 and ends with the next rows of the batch's
-    last B mod 4 transitions as its tail; the target recomputes those rows at
-    every step, so that its pass is never a lone tail row.
+    every pass runs over :func:`net.padded` rows, as the forward does, and a
+    row of a padded pass rounds alike wherever it falls.
     """
 
     def __init__(self, config: NetConfig, states: np.ndarray, batch: int):
         f, k = len(states), min(len(states), 2 * batch)
-        n = k + -k % 4 + batch % 4  # rows of the longest padded pass
+        n = net.padded(k)  # rows of the longest pass
         h1, h2 = config.hidden_dims
         self.states = states
         self.ws = net.Workspace(config, batch)
@@ -269,44 +265,36 @@ class _FramePass:
             np.empty(batch, dtype=np.intp) for _ in range(6))
         self.rewards, self.dones = np.empty(batch), np.empty(batch, dtype=bool)
         self.q = np.empty((batch, len(Action)))
-        tail = slice(batch - batch % 4, batch)  # the last B mod 4 transitions
-        self.tail_next, self.tail_q = self.next_rows[tail], self.q[tail]
 
     def _pass(self, params: NetParams, rows: np.ndarray, flags=None):
         """Layers 1–3 of ``params`` over the frame ``rows``, the last repeated
-        to a multiple of 4, then ``tail_next``. Returns the Q-values of
-        ``rows``, those of the tail, and :func:`net.hidden`'s report."""
-        m = len(rows)
-        body = m + -m % 4
-        src = self.src[: body + len(self.tail_next)]
+        to :func:`net.padded` rows. Returns the Q-values of ``rows`` and
+        :func:`net.hidden`'s report."""
+        m, n = len(rows), net.padded(len(rows))
+        src = self.src[:n]
         src[:m] = rows
-        src[m:body] = rows[-1]
-        src[body:] = self.tail_next
-        n = len(src)
+        src[m:] = rows[-1]
         x, a1, a2 = self.x[:n], self.a1[:n], self.a2[:n]
         self.states.take(src, axis=0, out=x, mode="clip")
         _, bad = net.hidden(params, x, a1, a2, flags)
         q = net.head(params, a2, self.pass_q[:n])
-        return q[:m], q[body:], bad
+        return q[:m], bad
 
-    def _fill_cache(self, target: NetParams) -> np.ndarray:
-        """Target Q-values of every next row of the batch; returns the tail's."""
+    def _fill_cache(self, target: NetParams) -> None:
+        """Target Q-values of every next row of the batch."""
         # bit for bit, so weights that differ only in a zero's sign count as
         # changed; the ufunc is what .all() calls, without its Python frame
         same = self.cache_weights.view(np.int64) == target.flat.view(np.int64)
         if not np.logical_and.reduce(same, axis=None):
             self.cached.fill(False)
             np.copyto(self.cache_weights, target.flat)
-        self.cached[self.tail_next] = False  # the tail needs them in the pass
         self.wanted.fill(False)
         self.wanted[self.next_rows] = True
         missing = np.greater(self.wanted, self.cached, out=self.wanted).nonzero()[0]
-        if len(missing) == 0:
-            return self.tail_q  # empty: with a tail, its rows are missing
-        q, tail_q, _ = self._pass(target, missing)
-        self.cache[missing] = q
-        self.cached[missing] = True
-        return tail_q
+        if len(missing):
+            q, _ = self._pass(target, missing)
+            self.cache[missing] = q
+            self.cached[missing] = True
 
     def targets(self, online: NetParams, target: NetParams, gamma: float) -> np.ndarray:
         """Double-Q targets of the batch loaded into ``rows``, ``rewards`` and
@@ -317,18 +305,16 @@ class _FramePass:
         self.touched[self.next_rows] = True
         touched_rows = self.touched.nonzero()[0]
         self.slot[touched_rows] = self.order[: len(touched_rows)]
-        q, tail_q, bad = self._pass(online, touched_rows, self.flags)
+        q, bad = self._pass(online, touched_rows, self.flags)
         self.slot.take(self.rows, out=self.index, mode="clip")
         self.slot.take(self.next_rows, out=self.next_index, mode="clip")
         self.ws.take(self.x, self.a1, self.a2, self.index, bad)
 
         # x, a1 and a2 are free from here on: the train rows are taken
         q.take(self.next_index, axis=0, out=self.q, mode="clip")
-        self.tail_q[:] = tail_q
         self.q.argmax(axis=1, out=self.best)
-        tail_q = self._fill_cache(target)
+        self._fill_cache(target)
         self.cache.take(self.next_rows, axis=0, out=self.q, mode="clip")
-        self.tail_q[:] = tail_q
         bootstrapped = self.q[self.ws.row_ids[: len(self.rows)], self.best]
         return self.rewards + gamma * bootstrapped * ~self.dones
 

@@ -26,10 +26,11 @@ once and not once per operation. Every value is computed by the same
 operations as in one whole-batch pass, so the gradients and the dropout
 generator's state are the same bit for bit. The products stay whole-batch:
 the three weight gradients and the bias sums reduce over rows, and
-dL/dz2 @ W2^T loses OpenBLAS's second thread when blocked. OpenBLAS rounds an
-output-layer row alike wherever it falls in a whole 4-row group, a tail row
-(one of the last n mod 4) alike in products with the same tail, and hidden
-rows alike at 2 rows or more (``tests/test_blas_rounding.py`` pins these).
+dL/dz2 @ W2^T loses OpenBLAS's second thread when blocked. Every network
+pass runs over :func:`padded` rows, the extra results thrown away: OpenBLAS
+rounds an output-layer row alike wherever it falls in a whole 4-row group,
+and hidden rows alike at 2 rows or more (``tests/test_blas_rounding.py``
+pins both), so a row's Q-values do not depend on the rows around it.
 
 The gradient step calls ndarray methods and ufuncs (``a.take``,
 ``np.add.reduce``, ``a.argmax``) rather than numpy's Python-level wrappers
@@ -56,8 +57,7 @@ ADAM_EPS = 1e-8
 
 # Rows per layers-1–2 block of an eval forward. OpenBLAS runs products this
 # small on one thread, whose speed does not depend on where the operands sit in
-# memory. The output layer runs once over all rows: a row rounds by whether it
-# falls in a whole 4-row group or in the tail, the last n mod 4 rows.
+# memory. The output layer runs once over all rows.
 EVAL_BLOCK_ROWS = 128
 
 # Rows per block of the gradient step's elementwise passes. A 512-row block of
@@ -66,9 +66,15 @@ EVAL_BLOCK_ROWS = 128
 TRAIN_BLOCK_ROWS = 512
 
 
+def padded(n: int) -> int:
+    """Rows of a network pass over ``n`` rows: ``n`` up to a multiple of 4,
+    the last row repeated."""
+    return n + -n % 4
+
+
 def _row_blocks(n: int) -> list[slice]:
     """Slices of ``TRAIN_BLOCK_ROWS`` rows covering rows 0..n-1; the last is partial."""
-    return [slice(s, s + TRAIN_BLOCK_ROWS) for s in range(0, n, TRAIN_BLOCK_ROWS)]
+    return [slice(s, min(s + TRAIN_BLOCK_ROWS, n)) for s in range(0, n, TRAIN_BLOCK_ROWS)]
 
 
 @dataclass(frozen=True)
@@ -218,6 +224,7 @@ class Workspace:
     """
 
     def __init__(self, config: NetConfig, batch: int):
+        batch = padded(batch)  # the output layer runs over padded rows
         h1, h2 = config.hidden_dims
         self.config = config
         self.x = np.empty((batch, config.input_dim))
@@ -262,27 +269,29 @@ class Workspace:
     def train_q(self, params: NetParams, rng: np.random.Generator | None) -> np.ndarray:
         """Train-mode Q-values of the train rows: a fresh inverted-dropout mask
         over layer 2, drawn from ``rng`` block by block in row order (the same
-        doubles as one whole-batch draw), then the output layer."""
+        doubles as one whole-batch draw), then the output layer over
+        :func:`padded` rows."""
         if self._spent:
             raise ValueError("the train rows were spent by loss_and_grads; take new ones")
         n, rate = self.rows, self.config.dropout_rate
+        p, width = padded(n), self.a2.shape[1]
         a2 = self.a2[:n]
+        self.mask, dropped = None, self.a2[:p]  # without dropout, layer 2 itself
         if rate > 0.0:
             if rng is None:
                 raise ValueError("train-mode forward with dropout needs an rng")
             keep = 1.0 - rate
             scale = 1.0 / keep  # a kept unit's mask value, as 1.0 / keep
             self.mask = self._mask[:n]
-            self._dropped = self._view(self._scratch, a2.shape[1])
-            kept = self._tile(self._flags, a2.shape[1])
+            dropped = self._scratch[: p * width].reshape(p, width)
+            kept = self._tile(self._flags, width)
             for b in _row_blocks(n):
                 mask = rng.random(out=self.mask[b])
                 np.multiply(np.less(mask, keep, out=kept[: len(mask)]), scale, out=mask)
-                np.multiply(a2[b], mask, out=self._dropped[b])
-        else:
-            self.mask = None
-            self._dropped = a2
-        return _affine(self._dropped, params.weights[2], params.biases[2], self.q[:n])
+                np.multiply(a2[b], mask, out=dropped[b])
+        dropped[n:] = dropped[n - 1 : n]
+        self._dropped = dropped[:n]
+        return _affine(dropped, params.weights[2], params.biases[2], self.q[:p])[:n]
 
     def loss_and_grads(
         self,
@@ -353,34 +362,33 @@ class Workspace:
             d *= np.greater(ab, 0.0, out=live[: len(d)])
 
 
-def _as_states(states, config: NetConfig) -> np.ndarray:
+def _padded_states(states, config: NetConfig) -> tuple[int, np.ndarray]:
+    """The row count of ``states``, and a row-major copy of them over
+    :func:`padded` rows."""
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != config.input_dim:
         raise ValueError(
             f"states must be [batch, {config.input_dim}], got shape {states.shape}"
         )
-    return states
+    n = len(states)
+    return n, states.take(np.minimum(np.arange(padded(n)), n - 1), axis=0)
 
 
 def forward(params: NetParams, states: np.ndarray, config: NetConfig) -> np.ndarray:
     """Eval-mode Q-values for a batch of states, shape [batch, 3].
 
-    Deterministic (no dropout): layers 1–2 run in blocks of
-    ``EVAL_BLOCK_ROWS`` rows, then the output layer once over all rows. The
-    train-mode pass is :func:`hidden`, :meth:`Workspace.take` and then
-    :meth:`Workspace.train_q`.
+    Deterministic (no dropout): over the :func:`padded` states, layers 1–2
+    run in blocks of ``EVAL_BLOCK_ROWS`` rows, then the output layer once
+    over all rows. The train-mode pass is :func:`hidden`,
+    :meth:`Workspace.take` and then :meth:`Workspace.train_q`.
     """
-    states = _as_states(states, config)
-    n = len(states)
-    a1 = np.empty((min(n, EVAL_BLOCK_ROWS + 1), config.hidden_dims[0]))
-    a2 = np.empty((n, config.hidden_dims[1]))
-    # a 1-row product takes another BLAS path and can round differently,
-    # so a last block of one row joins the block before it
-    start = 0
-    for stop in [*range(EVAL_BLOCK_ROWS, n - 1, EVAL_BLOCK_ROWS), n]:
-        hidden(params, states[start:stop], a1[: stop - start], a2[start:stop])
-        start = stop
-    return head(params, a2)
+    n, x = _padded_states(states, config)
+    a1 = np.empty((min(len(x), EVAL_BLOCK_ROWS), config.hidden_dims[0]))
+    a2 = np.empty((len(x), config.hidden_dims[1]))
+    for start in range(0, len(x), EVAL_BLOCK_ROWS):
+        block = x[start : start + EVAL_BLOCK_ROWS]
+        hidden(params, block, a1[: len(block)], a2[start : start + len(block)])
+    return head(params, a2)[:n]
 
 
 def loss_and_grads(
@@ -402,15 +410,15 @@ def loss_and_grads(
         raise ValueError("empty batch")
     # row-major like the frame rows the agent gathers: a strided or column-major
     # operand can take another matmul path and round differently
-    states = np.ascontiguousarray(_as_states(states, config))
-    n = len(states)
+    n, x = _padded_states(states, config)
+    p = len(x)
     ws = Workspace(config, n)
     # the mask and the dropped-out layer 2 are free until train_q runs: the
     # pass goes there, not into two more [n, width] arrays, and take copies
     # it to the train rows
-    a1, a2 = ws._scratch[: n * config.hidden_dims[0]].reshape(n, -1), ws._mask[:n]
-    _, bad = hidden(params, states, a1, a2, ws._flags)
-    ws.take(states, a1, a2, np.arange(n), bad)
+    a1, a2 = ws._scratch[: p * config.hidden_dims[0]].reshape(p, -1), ws._mask[:p]
+    _, bad = hidden(params, x, a1, a2, ws._flags)
+    ws.take(x, a1, a2, np.arange(n), bad)
     return ws.loss_and_grads(params, actions, targets, rng)
 
 

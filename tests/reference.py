@@ -20,7 +20,7 @@ import numpy as np
 
 from ddqn_trader.agent import Agent, ReplayBuffer, _FramePass
 from ddqn_trader.errors import NumericsError
-from ddqn_trader.net import NetConfig, NetParams, Workspace, forward, hidden
+from ddqn_trader.net import NetConfig, NetParams, Workspace, forward, hidden, padded
 
 
 @dataclass
@@ -79,13 +79,20 @@ def frame_targets(agent: Agent, batch: TransitionBatch) -> np.ndarray:
     return frame.targets(agent.online, agent.target, agent.config.gamma)
 
 
+def padded_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with the last repeated up to ``net.padded(len(rows))`` rows,
+    as every network pass runs."""
+    return np.concatenate([rows, np.repeat(rows[-1:], padded(len(rows)) - len(rows), axis=0)])
+
+
 def reference_loss_and_grads(params: NetParams, x: np.ndarray, a1: np.ndarray, a2: np.ndarray,
                              bad: str | None, actions: np.ndarray, targets: np.ndarray,
                              config: NetConfig, rng: np.random.Generator | None):
     """``Workspace.train_q`` then ``Workspace.loss_and_grads`` over the train
     rows ``x``, ``a1``, ``a2`` of a layers-1–2 pass that reported ``bad``,
     each elementwise operation over the whole batch at once and in fresh
-    arrays. Returns (loss, grads, mask); mask is None without dropout."""
+    arrays, and the output layer over padded rows. Returns (loss, grads,
+    mask); mask is None without dropout."""
     n, rate, l2 = len(x), config.dropout_rate, config.l2_activity
     w, b = params.weights, params.biases
     actions = np.asarray(actions, dtype=np.intp)
@@ -104,8 +111,9 @@ def reference_loss_and_grads(params: NetParams, x: np.ndarray, a1: np.ndarray, a
         np.less(mask, keep, out=mask)
         mask /= keep
         dropped = a2 * mask
-    q = dropped @ w[2]
+    q = padded_rows(dropped) @ w[2]
     q += b[2]
+    q = q[:n]
     if bad is not None:
         raise NumericsError(f"non-finite values in {bad}")
     if not np.isfinite(q).all():

@@ -496,13 +496,14 @@ def test_store_rejects_row_without_next_state():
     (200, 16, 3),  # F > 2B: only the touched rows are computed
     (20, 32, 1),  # F < 2B, and a target sync after every step
     (400, 16, 1),  # F >> 2B, and the cached target rows dropped at every step
-    # B mod 4 != 0: the last B mod 4 transitions run as the tail of each head
+    # B mod 4 != 0: the train head runs over padded rows
     (200, 17, 3),
     (200, 18, 2),
     (200, 19, 1),
-    (7, 3, 2),  # F < 2B with a tail of 3, and most rows touched
-    (300, 2, 5),  # a batch that is only a tail
+    (7, 3, 2),  # F < 2B with B = 3, and most rows touched
+    (300, 2, 5),
     (40, 7, 4),
+    (200, 1, 3),  # B = 1: the reference's passes are padded from one row
 ])
 def test_frame_path_matches_reference_bit_for_bit(monkeypatch, frame_rows, batch, sync_every):
     import ddqn_trader.agent as agent_module
@@ -599,11 +600,10 @@ def test_target_cache_computes_only_uncached_rows_never_one_alone():
 
 @pytest.mark.parametrize("batch", [12, 13])
 def test_target_cache_holds_eval_q_values_of_next_rows(batch):
-    # The cache holds the target's Q-values per frame row, computed in whole
-    # 4-row groups: below the last F mod 4 rows, which an eval forward over
-    # the frame runs as its tail, each cached row equals that forward's.
+    # The cache holds the target's Q-values per frame row, computed in padded
+    # passes as an eval forward over the whole frame is: each cached row
+    # equals that forward's, the frame's last rows too.
     states = np.random.default_rng(5).normal(size=(83, 8))
-    body = len(states) - len(states) % 4
     config = AgentConfig(net=NetConfig(input_dim=8), batch_size=batch, replay_capacity=512)
     agent = Agent.create(config, seed=4)
     agent.target = init_params(config.net, np.random.default_rng(11))
@@ -618,8 +618,7 @@ def test_target_cache_holds_eval_q_values_of_next_rows(batch):
         next_rows |= set((frame.rows + 1).tolist())
         cached = np.flatnonzero(frame.cached)
         assert set(cached.tolist()) == next_rows  # only next rows, and all of them
-        below = cached[cached < body]
-        assert np.array_equal(frame.cache[below], q_eval[below])
+        assert np.array_equal(frame.cache[cached], q_eval[cached])
 
 
 # ------------------------------------------------------------- the hot path

@@ -1,18 +1,26 @@
-"""The BLAS kernel's rounding properties that bit-exact training relies on.
+"""The BLAS kernel's rounding properties that bit-exact Q-values rely on.
 
-The gradient step's targets equal an eval forward's over the batch's next
-states, bit for bit, though ``agent._FramePass`` runs the output layer over
-other rows than that forward does: each distinct frame row once, repeated to a
-multiple of 4, with the batch's last B mod 4 next states as the tail. That
-holds only while the kernel keeps the properties below (they are not IEEE
-rules: the kernel's row blocking sets the summation order, and so the last
-bits). A host whose kernel breaks one fails the one test named for it here.
+Every network pass runs over ``net.padded`` rows, the last row repeated up to
+a multiple of 4, so a row's Q-values do not depend on the rows around it:
+acting on one state agrees with a batched backtest, and the gradient step's
+targets, from passes over each distinct frame row once, agree with an eval
+forward over the batch's next states. Two kernel properties carry this:
+an output-layer row rounds alike wherever it falls in a whole 4-row group,
+and hidden rows round alike at 2 rows or more. They are not IEEE rules: the
+kernel's row blocking sets the summation order, and so the last bits. A host
+whose kernel breaks one fails the one test named for it here.
+
+The third test pins that a row of a partial last group (a tail row, one of
+the last n mod 4) rounds alike in products with the same tail. No code
+relies on that since every pass is padded; it stays as a record of the
+kernel's behaviour.
 """
 
 import numpy as np
 import pytest
 
 from ddqn_trader.net import NetConfig, head, hidden, init_params
+from reference import padded_rows
 
 CONFIG = NetConfig(input_dim=8)
 
@@ -25,11 +33,6 @@ def _layer2(n: int, seed: int):
     return params, states, hidden(params, states)[0]
 
 
-def _padded(rows: np.ndarray) -> np.ndarray:
-    """``rows`` with the last repeated up to a multiple of 4."""
-    return np.concatenate([rows, np.repeat(rows[-1:], -len(rows) % 4)])
-
-
 @pytest.mark.parametrize("n", [255, 256, 4096, 4099])
 def test_head_row_rounds_alike_in_every_whole_4_row_group(n):
     params, _, a2 = _layer2(n, seed=n)
@@ -39,7 +42,7 @@ def test_head_row_rounds_alike_in_every_whole_4_row_group(n):
     for m in (1, 2, 3, 5, 254, 745, body):
         rows = rng.choice(body, size=min(m, body), replace=False)
         rows = rows if m % 2 else np.sort(rows)  # any order, not only frame order
-        q = head(params, np.ascontiguousarray(a2[_padded(rows)]))
+        q = head(params, np.ascontiguousarray(a2[padded_rows(rows)]))
         assert np.array_equal(q[: len(rows)], full[rows]), f"{len(rows)} rows of {n}"
 
 

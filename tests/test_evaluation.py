@@ -20,7 +20,8 @@ from ddqn_trader.evaluation import (
     run_backtest,
     score_actions,
 )
-from ddqn_trader.net import NetConfig, NetParams
+from ddqn_trader.market_data import ModelId
+from ddqn_trader.net import NetConfig, NetParams, forward
 from ddqn_trader.training import TrainConfig, run_training
 
 from conftest import make_frame
@@ -159,6 +160,26 @@ def test_batched_backtest_matches_per_step_path(frame300, seed, trained):
     assert result.gross_returns.tolist() == [s.market_return * s.position for s in steps]
     assert (result.gross_returns - [s.cost_paid for s in steps]).tolist() == result.rewards.tolist()
     assert len(set(expected)) > 1  # a constant policy would not exercise trades and holds
+
+
+@pytest.mark.parametrize("model", [ModelId.M0, ModelId.M3])
+def test_acting_agrees_with_backtest_bit_for_bit_on_near_ties(model):
+    # Every network pass runs over padded rows, so a 1-row forward equals the
+    # batched one in every bit. The output units of actions 0 and 1 differ by
+    # about 1e-16, so a Q-value rounded another way would flip some actions.
+    rng = np.random.default_rng(model.n_features)
+    frame = make_frame(rng.normal(scale=0.01, size=998), model=model)
+    agent = make_agent(width=model.n_features, seed=2)
+    w3 = agent.online.weights[2]
+    w3[:, 1] = w3[:, 0] + 1e-16 * rng.normal(size=len(w3))
+    states = frame.values[:-1]
+    q = forward(agent.online, states, agent.config.net)
+    for i in range(len(states)):
+        one = forward(agent.online, states[i : i + 1], agent.config.net)
+        assert one.tobytes() == q[i : i + 1].tobytes(), f"row {i}"
+    actions = [int(select_action(agent, row, 0.0)) for row in states]
+    assert actions == run_backtest(agent, frame, NO_COST).actions.tolist()
+    assert min(np.bincount(actions, minlength=3)) > 100  # near-ties both ways
 
 
 def test_backtest_non_finite_q_values_raise(frame300):

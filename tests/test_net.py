@@ -21,7 +21,7 @@ from ddqn_trader.net import (
     loss_and_grads,
     param_count,
 )
-from reference import load_train_rows, reference_loss_and_grads
+from reference import load_train_rows, padded_rows, reference_loss_and_grads
 
 
 def zero_params(config):
@@ -148,8 +148,8 @@ def test_forward_eval_blocks_equal_one_pass(input_dim):
                  EVAL_BLOCK_ROWS + 2, 2 * EVAL_BLOCK_ROWS + 1, 749, 1000):
         states = rng.normal(size=(rows, input_dim))
         q = forward(params, states, config)
-        a2, _ = hidden(params, states)
-        assert q.tobytes() == head(params, a2).tobytes()
+        a2, _ = hidden(params, padded_rows(states))
+        assert q.tobytes() == head(params, a2)[:rows].tobytes()
 
 
 def test_forward_eval_empty_batch():
@@ -389,7 +389,7 @@ def test_loss_is_mean_squared_error_plus_dot_penalty_bit_for_bit(n):
     ws = Workspace(config, n)
     ws.take(x, a1, a2, np.arange(n), bad)
     loss, _ = ws.loss_and_grads(params, actions, targets, np.random.default_rng(99))
-    q = (a2 * ws.mask) @ params.weights[2] + params.biases[2]
+    q = (padded_rows(a2 * ws.mask) @ params.weights[2] + params.biases[2])[:n]
     err = q[np.arange(n), actions] - targets
     flat1, flat2 = a1.ravel(), a2.ravel()
     expected = float(np.mean(err**2)) + l2 * float(np.dot(flat1, flat1) + np.dot(flat2, flat2)) / n
