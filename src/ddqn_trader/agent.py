@@ -235,66 +235,36 @@ class _FramePass:
     """Buffers of the gradient step over one states matrix of F rows.
 
     A batch of B transitions touches at most min(F, 2B) rows, each
-    transition's row and the next; the online network runs once over them.
-    The target's Q-values are kept per frame row in ``cache`` ([F, 3]), valid
-    where ``cached`` is set and computed with ``cache_weights``. New target
-    weights (a sync, a new target object, an edit in place) drop every row,
-    and the target runs over the distinct next rows the cache lacks, and only
-    those. The frame must not change while the cache is kept.
-    The targets equal an eval forward's over the B next states, bit for bit:
-    every pass runs over :func:`net.padded` rows, as the forward does, and a
-    row of a padded pass rounds alike wherever it falls.
+    transition's row and the next; the online network runs once over them,
+    padded to :func:`net.padded` rows as an eval forward's passes are. The
+    target's Q-values are ``cache``, one :func:`net.forward` over the whole
+    frame ([F, 3]) with the weights copied to ``cache_weights``. It is
+    computed at the first step and again whenever the target's weights
+    change (a sync, a new target object, an edit in place), and the frame
+    must not change while it is kept. A row of a padded pass rounds alike
+    wherever it falls, so the targets equal an eval forward's over the B
+    next states, bit for bit.
     """
 
     def __init__(self, config: NetConfig, states: np.ndarray, batch: int):
         f, k = len(states), min(len(states), 2 * batch)
-        n = net.padded(k)  # rows of the longest pass
+        n = net.padded(k)  # rows of the longest online pass
         h1, h2 = config.hidden_dims
         self.states = states
         self.ws = net.Workspace(config, batch)
-        self.touched, self.wanted, self.cached = (np.zeros(f, dtype=bool) for _ in range(3))
+        self.touched = np.zeros(f, dtype=bool)
         self.slot = np.zeros(f, dtype=np.intp)  # touched row -> its row in x, a1, a2
         self.order = np.arange(k)
-        self.src = np.empty(n, dtype=np.intp)  # frame rows of a padded pass
+        self.src = np.empty(n, dtype=np.intp)  # frame rows of the padded online pass
         self.x, self.a1, self.a2, self.pass_q = (
             np.empty((n, width)) for width in (config.input_dim, h1, h2, len(Action)))
         self.flags = np.empty(n * max(h1, h2), dtype=bool)
-        self.cache = np.empty((f, len(Action)))
-        self.cache_weights = np.zeros(net.param_count(config))
+        self.cache = None  # the target's Q-values over the frame, from the first step on
+        self.cache_weights = np.empty(net.param_count(config))
         self.rows, self.next_rows, self.index, self.next_index, self.actions, self.best = (
             np.empty(batch, dtype=np.intp) for _ in range(6))
         self.rewards, self.dones = np.empty(batch), np.empty(batch, dtype=bool)
         self.q = np.empty((batch, len(Action)))
-
-    def _pass(self, params: NetParams, rows: np.ndarray, flags=None):
-        """Layers 1–3 of ``params`` over the frame ``rows``, the last repeated
-        to :func:`net.padded` rows. Returns the Q-values of ``rows`` and
-        :func:`net.hidden`'s report."""
-        m, n = len(rows), net.padded(len(rows))
-        src = self.src[:n]
-        src[:m] = rows
-        src[m:] = rows[-1]
-        x, a1, a2 = self.x[:n], self.a1[:n], self.a2[:n]
-        self.states.take(src, axis=0, out=x, mode="clip")
-        _, bad = net.hidden(params, x, a1, a2, flags)
-        q = net.head(params, a2, self.pass_q[:n])
-        return q[:m], bad
-
-    def _fill_cache(self, target: NetParams) -> None:
-        """Target Q-values of every next row of the batch."""
-        # bit for bit, so weights that differ only in a zero's sign count as
-        # changed; the ufunc is what .all() calls, without its Python frame
-        same = self.cache_weights.view(np.int64) == target.flat.view(np.int64)
-        if not np.logical_and.reduce(same, axis=None):
-            self.cached.fill(False)
-            np.copyto(self.cache_weights, target.flat)
-        self.wanted.fill(False)
-        self.wanted[self.next_rows] = True
-        missing = np.greater(self.wanted, self.cached, out=self.wanted).nonzero()[0]
-        if len(missing):
-            q, _ = self._pass(target, missing)
-            self.cache[missing] = q
-            self.cached[missing] = True
 
     def targets(self, online: NetParams, target: NetParams, gamma: float) -> np.ndarray:
         """Double-Q targets of the batch loaded into ``rows``, ``rewards`` and
@@ -304,8 +274,14 @@ class _FramePass:
         self.touched[self.rows] = True
         self.touched[self.next_rows] = True
         touched_rows = self.touched.nonzero()[0]
-        self.slot[touched_rows] = self.order[: len(touched_rows)]
-        q, bad = self._pass(online, touched_rows, self.flags)
+        m, n = len(touched_rows), net.padded(len(touched_rows))
+        self.slot[touched_rows] = self.order[:m]
+        src = self.src[:n]
+        src[:m] = touched_rows
+        src[m:] = touched_rows[-1]
+        self.states.take(src, axis=0, out=self.x[:n], mode="clip")
+        _, bad = net.hidden(online, self.x[:n], self.a1[:n], self.a2[:n], self.flags)
+        q = net.head(online, self.a2[:n], self.pass_q[:n])
         self.slot.take(self.rows, out=self.index, mode="clip")
         self.slot.take(self.next_rows, out=self.next_index, mode="clip")
         self.ws.take(self.x, self.a1, self.a2, self.index, bad)
@@ -313,7 +289,12 @@ class _FramePass:
         # x, a1 and a2 are free from here on: the train rows are taken
         q.take(self.next_index, axis=0, out=self.q, mode="clip")
         self.q.argmax(axis=1, out=self.best)
-        self._fill_cache(target)
+        # bit for bit, so weights that differ only in a zero's sign count as
+        # changed; the ufunc is what .all() calls, without its Python frame
+        same = self.cache_weights.view(np.int64) == target.flat.view(np.int64)
+        if self.cache is None or not np.logical_and.reduce(same, axis=None):
+            self.cache = net.forward(target, self.states, self.ws.config)
+            np.copyto(self.cache_weights, target.flat)
         self.cache.take(self.next_rows, axis=0, out=self.q, mode="clip")
         bootstrapped = self.q[self.ws.row_ids[: len(self.rows)], self.best]
         return self.rewards + gamma * bootstrapped * ~self.dones

@@ -64,6 +64,15 @@ class TrainConfig:
                 f"schedule covers {self.schedule.total_episodes} episodes, "
                 f"need >= {self.episodes}"
             )
+        # the ring never holds more transitions than the run stores
+        held = min(self.agent.replay_capacity, self.episodes * self.env.episode_length)
+        if held < max(self.agent.batch_size, self.agent.effective_warmup):
+            raise ConfigError(
+                f"no gradient step can run: replay holds at most min(replay_capacity "
+                f"{self.agent.replay_capacity}, episodes {self.episodes} x episode_length "
+                f"{self.env.episode_length}) = {held} transitions, fewer than "
+                f"batch_size {self.agent.batch_size} or warmup {self.agent.effective_warmup}"
+            )
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 Training never builds a batch of explicit states: the replay buffer stores
 frame rows, and ``agent._FramePass`` runs the online network over the rows a
-batch touches and keeps the target network's Q-values per frame row until
-its weights change. The tests compare that path bit for bit with the plain one kept
-here: a replay draw as explicit states and next states, and double-Q
-targets from one eval forward of each network over the next states.
+batch touches and keeps the target network's Q-values over the frame, one
+eval forward, until its weights change. The tests compare that path bit for
+bit with the plain one kept here: a replay draw as explicit states and next
+states, and double-Q targets from one eval forward of each network over the
+next states.
 :func:`frame_targets` runs a hand-built batch through the frame path.
 
 :func:`reference_loss_and_grads` is the gradient step as one whole-batch

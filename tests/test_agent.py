@@ -429,9 +429,10 @@ def test_dropout_draws_do_not_disturb_replay_stream():
 
 
 def test_train_step_matches_unfused_reference():
-    # the frame-indexed step (one online pass over the touched rows, cached
-    # target hidden layers, reused workspace, in-place target sync) against
-    # the unfused primitives on explicit states
+    # the frame-indexed step (one online pass over the touched rows, the
+    # target's Q-values over the frame kept between weight changes, reused
+    # workspace, in-place target sync) against the unfused primitives on
+    # explicit states
     config = AgentConfig(
         net=NetConfig(input_dim=2, dropout_rate=0.25, l2_activity=1e-3),
         batch_size=32, replay_capacity=512, target_sync_every=10, lr=1e-3,
@@ -495,7 +496,7 @@ def test_store_rejects_row_without_next_state():
 @pytest.mark.parametrize("frame_rows, batch, sync_every", [
     (200, 16, 3),  # F > 2B: only the touched rows are computed
     (20, 32, 1),  # F < 2B, and a target sync after every step
-    (400, 16, 1),  # F >> 2B, and the cached target rows dropped at every step
+    (400, 16, 1),  # F >> 2B, and the target's frame forward rerun at every step
     # B mod 4 != 0: the train head runs over padded rows
     (200, 17, 3),
     (200, 18, 2),
@@ -511,7 +512,9 @@ def test_frame_path_matches_reference_bit_for_bit(monkeypatch, frame_rows, batch
     states = np.random.default_rng(frame_rows).normal(size=(frame_rows, 3))
     last_row = frame_rows - 2
     if frame_rows > 2 * batch:
-        # A row no transition touches: neither network's pass may read it.
+        # A row no transition touches: the online pass must not read it, and
+        # the target's forward over the frame, which does, may change no
+        # target and raise nothing.
         states[-1] = np.nan
         last_row = frame_rows - 3
     config = AgentConfig(
@@ -565,44 +568,54 @@ def test_frame_path_matches_reference_bit_for_bit(monkeypatch, frame_rows, batch
     assert saw_done and len(recorded) == 12
 
 
-def test_target_cache_computes_only_uncached_rows_never_one_alone():
-    # Target Q-values are cached per frame row. A batch that differs from the
-    # last in one next row leaves exactly one row uncached, which runs repeated
-    # to 4 rows: OpenBLAS rounds a row of a whole 4-row group alike in every
-    # product, and a 1-row product differently. The padding caches no other row.
+def test_target_forward_runs_once_per_set_of_target_weights(monkeypatch):
+    # The target's Q-values are one eval forward over the frame, run at the
+    # first step and again only when the target's weights change bit for bit.
+    import ddqn_trader.net as net_module
+
     states = np.random.default_rng(3).normal(size=(40, 8))
     config = AgentConfig(net=NetConfig(input_dim=8, dropout_rate=0.0, l2_activity=0.0),
                          batch_size=8, replay_capacity=512)
     agent = Agent.create(config, seed=2)
     agent.target = init_params(config.net, np.random.default_rng(9))
     frame = _FramePass(config.net, states, 8)
+    calls = []
+    real_forward = net_module.forward
+    monkeypatch.setattr(net_module, "forward",
+                        lambda params, *args: calls.append(params) or real_forward(params, *args))
     data = np.random.default_rng(4)
-    actions, rewards = data.integers(0, 3, size=8), data.normal(size=8) * 0.01
-    dones = np.zeros(8, dtype=bool)
 
-    def check(rows):
+    def forwards():
+        rows, actions = data.integers(0, len(states) - 1, size=8), data.integers(0, 3, size=8)
+        rewards, dones = data.normal(size=8) * 0.01, data.random(8) < 0.25
         frame.rows[:], frame.rewards[:], frame.dones[:] = rows, rewards, dones
-        cached = frame.cached.copy()
+        before = len(calls)
         y = frame.targets(agent.online, agent.target, config.gamma)
         batch = TransitionBatch(states[rows], actions, rewards, states[rows + 1], dones)
         assert np.array_equal(y, compute_targets(agent, batch))
-        return set(np.flatnonzero(frame.cached & ~cached).tolist())
+        assert all(params is agent.target for params in calls[before:])
+        return len(calls) - before
 
-    rows = np.arange(0, 16, 2)
-    assert check(rows) == set(range(1, 17, 2))
-    assert check(rows) == set()  # all cached: the target runs over no row
-    for k, row in enumerate((20, 25, 30, 37)):
-        rows[k] = row
-        assert row + 1 in check(rows) <= {row, row + 1}
-    agent.target = agent.target.clone()  # equal values: the cache stays
-    assert check(rows) == set()
+    assert forwards() == 1  # the first step
+    assert forwards() == 0  # an unchanged target
+    agent.target = agent.target.clone()  # a new object with equal values
+    assert forwards() == 0
+    sync_target(agent)
+    assert forwards() == 1
+    agent.target = init_params(config.net, np.random.default_rng(10))  # other values
+    assert forwards() == 1
+    agent.target.weights[1][::3] *= 0.5  # an edit in place
+    assert forwards() == 1
+    agent.target.biases[2][0] = -0.0  # only a zero's sign differs
+    assert forwards() == 1
+    assert forwards() == 0
 
 
 @pytest.mark.parametrize("batch", [12, 13])
 def test_target_cache_holds_eval_q_values_of_next_rows(batch):
-    # The cache holds the target's Q-values per frame row, computed in padded
-    # passes as an eval forward over the whole frame is: each cached row
-    # equals that forward's, the frame's last rows too.
+    # The cache is the target's eval forward over the whole frame, bit for
+    # bit, so every next row a batch reads holds that forward's Q-values, the
+    # frame's last rows too.
     states = np.random.default_rng(5).normal(size=(83, 8))
     config = AgentConfig(net=NetConfig(input_dim=8), batch_size=batch, replay_capacity=512)
     agent = Agent.create(config, seed=4)
@@ -610,15 +623,11 @@ def test_target_cache_holds_eval_q_values_of_next_rows(batch):
     q_eval = forward(agent.target, states, config.net)
     frame = _FramePass(config.net, states, batch)
     data = np.random.default_rng(batch)
-    next_rows = set()
     for _ in range(6):
         frame.rows[:] = data.integers(0, len(states) - 1, size=batch)
         frame.rewards[:], frame.dones[:] = 0.0, False
         frame.targets(agent.online, agent.target, config.gamma)
-        next_rows |= set((frame.rows + 1).tolist())
-        cached = np.flatnonzero(frame.cached)
-        assert set(cached.tolist()) == next_rows  # only next rows, and all of them
-        assert np.array_equal(frame.cache[cached], q_eval[cached])
+        assert np.array_equal(frame.cache, q_eval)
 
 
 # ------------------------------------------------------------- the hot path

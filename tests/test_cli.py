@@ -653,6 +653,26 @@ def test_prepare_and_train_reject_the_same_values(workspace, capsys, line):
     assert not (tmp_path / "run_bad").exists()
 
 
+@pytest.mark.parametrize("lines", [
+    "warmup = 60\nreplay_capacity = 50",  # the ring never reaches the warmup
+    "episodes = 1\nbatch_size = 32",  # one 20-step episode stores less than a batch
+], ids=["ring_below_warmup", "run_below_batch"])
+def test_prepare_and_train_reject_a_run_without_gradient_steps(workspace, capsys, lines):
+    tmp_path, config = workspace
+    prep = tmp_path / "prep"
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    bad = tmp_path / "bad.conf"
+    bad.write_text(config.read_text() + f"\n{lines}\n")
+    capsys.readouterr()
+    assert main(["prepare", "--config", str(bad), "--out", str(tmp_path / "prep_bad")]) == 2
+    assert "no gradient step can run" in _one_error_line(capsys)
+    assert not (tmp_path / "prep_bad").exists()
+    assert main(["train", "--config", str(bad), "--frame", str(prep / "train_frame.csv"),
+                 "--out", str(tmp_path / "run_bad")]) == 2
+    assert "no gradient step can run" in _one_error_line(capsys)
+    assert not (tmp_path / "run_bad").exists()
+
+
 def test_prepare_rejects_episode_longer_than_train_frame(workspace, capsys):
     tmp_path, config = workspace
     bad = tmp_path / "bad.conf"

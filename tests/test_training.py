@@ -192,6 +192,27 @@ def test_train_config_validation():
         )
 
 
+@pytest.mark.parametrize("episodes, held, overrides", [
+    (3, 60, dict(replay_capacity=60, warmup=60)),  # the ring caps at the warmup
+    (1, 30, dict(batch_size=30)),  # one 30-step episode stores one batch
+], ids=["ring_at_warmup", "run_at_batch"])
+def test_train_config_rejects_a_run_without_gradient_steps(episodes, held, overrides):
+    # The ring never holds more than min(replay_capacity, episodes x
+    # episode_length) transitions; one fewer than the batch or the warmup
+    # and no gradient step could ever run.
+    frame = trend_frame()
+    log, _ = run_training(small_config(frame, episodes=episodes, **overrides))
+    assert log.records[-1].gradient_steps >= 1
+    if "replay_capacity" in overrides:
+        overrides["replay_capacity"] = held - 1
+    else:
+        overrides["batch_size"] = held + 1
+    with pytest.raises(ConfigError, match="no gradient step can run") as err:
+        small_config(frame, episodes=episodes, **overrides)
+    for key in ("replay_capacity", "episodes", "episode_length", "batch_size", "warmup"):
+        assert key in str(err.value)
+
+
 # ---------------------------------------------------------------- checkpoint
 
 def test_checkpoint_round_trip(tmp_path):
