@@ -259,6 +259,7 @@ class _FramePass:
         self.x, self.a1, self.a2, self.pass_q = (
             np.empty((n, width)) for width in (config.input_dim, h1, h2, len(Action)))
         self.flags = np.empty(n * max(h1, h2), dtype=bool)
+        self.bad = None  # the online pass's non-finite report, raised by the gradient step
         self.cache = None  # the target's Q-values over the frame, from the first step on
         self.cache_weights = np.empty(net.param_count(config))
         self.rows, self.next_rows, self.index, self.next_index, self.actions, self.best = (
@@ -268,7 +269,9 @@ class _FramePass:
 
     def targets(self, online: NetParams, target: NetParams, gamma: float) -> np.ndarray:
         """Double-Q targets of the batch loaded into ``rows``, ``rewards`` and
-        ``dones``; leaves its train rows in ``ws``."""
+        ``dones``. Leaves the online pass in ``x``, ``a1`` and ``a2`` for the
+        gradient step, its report in ``bad`` and each transition's row of it
+        in ``index``."""
         np.add(self.rows, 1, out=self.next_rows)
         self.touched.fill(False)
         self.touched[self.rows] = True
@@ -280,13 +283,10 @@ class _FramePass:
         src[:m] = touched_rows
         src[m:] = touched_rows[-1]
         self.states.take(src, axis=0, out=self.x[:n], mode="clip")
-        _, bad = net.hidden(online, self.x[:n], self.a1[:n], self.a2[:n], self.flags)
+        _, self.bad = net.hidden(online, self.x[:n], self.a1[:n], self.a2[:n], self.flags)
         q = net.head(online, self.a2[:n], self.pass_q[:n])
         self.slot.take(self.rows, out=self.index, mode="clip")
         self.slot.take(self.next_rows, out=self.next_index, mode="clip")
-        self.ws.take(self.x, self.a1, self.a2, self.index, bad)
-
-        # x, a1 and a2 are free from here on: the train rows are taken
         q.take(self.next_index, axis=0, out=self.q, mode="clip")
         self.q.argmax(axis=1, out=self.best)
         # bit for bit, so weights that differ only in a zero's sign count as
@@ -320,8 +320,8 @@ def train_step(agent: Agent, buffer: ReplayBuffer) -> float | None:
         frame = agent._frame = _FramePass(cfg.net, buffer.states, cfg.batch_size)
     buffer.take(slots, frame.rows, frame.actions, frame.rewards, frame.dones)
     targets = frame.targets(agent.online, agent.target, cfg.gamma)
-    loss, grads = frame.ws.loss_and_grads(agent.online, frame.actions, targets,
-                                          agent._dropout_rng)
+    loss, grads = frame.ws.loss_and_grads(agent.online, frame.x, frame.a1, frame.a2, frame.index,
+                                          frame.bad, frame.actions, targets, agent._dropout_rng)
     net.adam_step(agent.online, grads, agent.adam, cfg.lr)
     agent.gradient_steps += 1
     if cfg.target_sync_unit == "steps" and agent.gradient_steps % cfg.target_sync_every == 0:

@@ -11,13 +11,15 @@ so gradients flow only through each sample's taken action plus the activity
 penalty, and the learning rate is batch-size invariant.
 
 Parameters live in one float64 vector with per-layer views into it, and the
-activations and gradients of a batch live in a reusable :class:`Workspace`.
-It holds four [batch, width] float64 buffers (a1, a2, the dropout mask and
-the dropped-out layer 2), so a gradient step that keeps its workspace
-allocates no [batch, width] arrays. Each hidden layer's dL/dz goes into one
-of them once its contents are spent: dL/dz2 over the dropped-out layer 2
-after dW3 has read it, dL/dz1 over a2 after the layer-2 backward factors
-have.
+activations and gradients of a batch live in a reusable :class:`Workspace`,
+whose one call, :meth:`Workspace.loss_and_grads`, is a gradient step: it
+gathers the train rows of an earlier layers-1–2 pass, draws the dropout mask
+and runs the output layer, the loss and the backward pass. It holds four
+[batch, width] float64 buffers (a1, a2, the dropout mask and the dropped-out
+layer 2), so a gradient step that keeps its workspace allocates no
+[batch, width] arrays. Each hidden layer's dL/dz goes into one of them once
+its contents are spent: dL/dz2 over the dropped-out layer 2 after dW3 has
+read it, dL/dz1 over a2 after the layer-2 backward factors have.
 
 The gradient step's elementwise chains (the dropout draw and mask, the dropped
 layer 2, and the dropout, L2 and ReLU factors of dL/dz2 and dL/dz1) run over
@@ -215,12 +217,9 @@ class Workspace:
     and the bool flags' first block holds the ReLU factor, or the kept units
     while a mask is drawn.
 
-    Use: :meth:`take`, then :meth:`train_q` or :meth:`loss_and_grads`.
-    :meth:`loss_and_grads` consumes the rows of its take, whose ``a2`` it
-    overwrites: a later :meth:`train_q` or :meth:`loss_and_grads` raises
-    ValueError until the next :meth:`take`. Returned arrays and gradients are
-    views into the buffers, overwritten by the next call; ``mask`` stays
-    valid until the next :meth:`train_q`.
+    :meth:`loss_and_grads` is one gradient step. The gradients it returns
+    are views into the buffers, overwritten by the next call, and ``mask``
+    holds the call's dropout mask until the next.
     """
 
     def __init__(self, config: NetConfig, batch: int):
@@ -239,43 +238,46 @@ class Workspace:
         self._flags = np.empty(batch * max(h1, h2, len(Action)), dtype=bool)
         self.grads = NetParams.from_flat(np.empty(param_count(config)), config.layer_shapes)
         self.row_ids = np.arange(batch)  # 0..batch-1, to pick one Q-value per row
-        self.rows = 0  # train rows of the last take
-        self.mask: np.ndarray | None = None  # dropout mask of the last train_q
-        self._dropped: np.ndarray | None = None
-        self._bad: str | None = None
-        self._spent = False  # the train rows' a2 holds dL/dz1
+        self.mask: np.ndarray | None = None  # dropout mask of the last call
 
-    def _view(self, buf: np.ndarray, width: int) -> np.ndarray:
-        return buf[: self.rows * width].reshape(self.rows, width)
-
-    def _tile(self, buf: np.ndarray, width: int) -> np.ndarray:
-        """The first block of ``buf`` as [rows, width]: one block's scratch."""
-        rows = min(self.rows, TRAIN_BLOCK_ROWS)
+    @staticmethod
+    def _view(buf: np.ndarray, rows: int, width: int) -> np.ndarray:
         return buf[: rows * width].reshape(rows, width)
 
-    def take(self, x: np.ndarray, a1: np.ndarray, a2: np.ndarray, index: np.ndarray,
-             bad: str | None) -> None:
-        """Train rows from an earlier layers-1–2 pass: row i is row ``index[i]``
-        of ``x``, ``a1`` and ``a2``, and ``bad`` is that pass's report, raised
-        by the next :meth:`loss_and_grads`. The gathers clip, so every index
-        must already be in range."""
+    def loss_and_grads(
+        self,
+        params: NetParams,
+        x: np.ndarray,
+        a1: np.ndarray,
+        a2: np.ndarray,
+        index: np.ndarray,
+        bad: str | None,
+        actions: np.ndarray,
+        targets: np.ndarray,
+        rng: np.random.Generator | None,
+    ) -> tuple[float, NetParams]:
+        """Loss and gradients of one gradient step; see :func:`loss_and_grads`.
+        The gradients are ``self.grads``.
+
+        The train rows come from an earlier layers-1–2 pass that reported
+        ``bad``: row i is row ``index[i]`` of ``x``, ``a1`` and ``a2``. The
+        gathers clip, so every index must already be in range. Layer 2 gets
+        a fresh inverted-dropout mask, drawn from ``rng`` block by block in
+        row order (the same doubles as one whole-batch draw), and the output
+        layer runs over :func:`padded` rows.
+        """
+        actions = np.asarray(actions, dtype=np.intp)
+        targets = np.asarray(targets, dtype=np.float64)
         n = len(index)
+        if len(actions) != n or len(targets) != n:
+            raise ValueError(f"need {n} actions and targets, got {len(actions)} and {len(targets)}")
         for src, dst in ((x, self.x), (a1, self.a1), (a2, self.a2)):
             src.take(index, axis=0, out=dst[:n], mode="clip")
-        self.rows = n
-        self._bad = bad
-        self._spent = False
+        x, a1, a2 = self.x[:n], self.a1[:n], self.a2[:n]
+        if not _all_finite(targets, self._flags):
+            raise NumericsError("non-finite targets")
 
-    def train_q(self, params: NetParams, rng: np.random.Generator | None) -> np.ndarray:
-        """Train-mode Q-values of the train rows: a fresh inverted-dropout mask
-        over layer 2, drawn from ``rng`` block by block in row order (the same
-        doubles as one whole-batch draw), then the output layer over
-        :func:`padded` rows."""
-        if self._spent:
-            raise ValueError("the train rows were spent by loss_and_grads; take new ones")
-        n, rate = self.rows, self.config.dropout_rate
-        p, width = padded(n), self.a2.shape[1]
-        a2 = self.a2[:n]
+        rate, p, width = self.config.dropout_rate, padded(n), a2.shape[1]
         self.mask, dropped = None, self.a2[:p]  # without dropout, layer 2 itself
         if rate > 0.0:
             if rng is None:
@@ -283,40 +285,19 @@ class Workspace:
             keep = 1.0 - rate
             scale = 1.0 / keep  # a kept unit's mask value, as 1.0 / keep
             self.mask = self._mask[:n]
-            dropped = self._scratch[: p * width].reshape(p, width)
-            kept = self._tile(self._flags, width)
+            dropped = self._view(self._scratch, p, width)
+            kept = self._view(self._flags, min(n, TRAIN_BLOCK_ROWS), width)
             for b in _row_blocks(n):
                 mask = rng.random(out=self.mask[b])
                 np.multiply(np.less(mask, keep, out=kept[: len(mask)]), scale, out=mask)
                 np.multiply(a2[b], mask, out=dropped[b])
         dropped[n:] = dropped[n - 1 : n]
-        self._dropped = dropped[:n]
-        return _affine(dropped, params.weights[2], params.biases[2], self.q[:p])[:n]
-
-    def loss_and_grads(
-        self,
-        params: NetParams,
-        actions: np.ndarray,
-        targets: np.ndarray,
-        rng: np.random.Generator | None = None,
-    ) -> tuple[float, NetParams]:
-        """Loss and gradients for the train rows of the last :meth:`take`; see
-        :func:`loss_and_grads`. The gradients are ``self.grads``."""
-        actions = np.asarray(actions, dtype=np.intp)
-        targets = np.asarray(targets, dtype=np.float64)
-        n = self.rows
-        if len(actions) != n or len(targets) != n:
-            raise ValueError(f"need {n} actions and targets, got {len(actions)} and {len(targets)}")
-        if not _all_finite(targets, self._flags):
-            raise NumericsError("non-finite targets")
-        q = self.train_q(params, rng)
-        self._spent = True
-        if self._bad is not None:
-            raise NumericsError(f"non-finite values in {self._bad}")
+        q = _affine(dropped, params.weights[2], params.biases[2], self.q[:p])[:n]
+        if bad is not None:
+            raise NumericsError(f"non-finite values in {bad}")
         if not _all_finite(q, self._flags):
             raise NumericsError("non-finite values in output layer")
 
-        x, a1, a2 = self.x[:n], self.a1[:n], self.a2[:n]
         rows = self.row_ids[:n]
         err = q[rows, actions] - targets
         l2 = self.config.l2_activity
@@ -331,15 +312,15 @@ class Workspace:
         dq = self.dq[:n]
         dq.fill(0.0)
         dq[rows, actions] = 2.0 * err / n
-        np.matmul(self._dropped.T, dq, out=g.weights[2])
+        np.matmul(dropped[:n].T, dq, out=g.weights[2])
         np.add.reduce(dq, axis=0, out=g.biases[2])
         # the dropped-out layer 2 is spent: dL/dz2 goes over it
-        dz2 = np.matmul(dq, w[2].T, out=self._view(self._scratch, a2.shape[1]))
+        dz2 = np.matmul(dq, w[2].T, out=self._view(self._scratch, n, width))
         self._backward_blocks(dz2, a2, self.mask)
         np.matmul(a1.T, dz2, out=g.weights[1])
         np.add.reduce(dz2, axis=0, out=g.biases[1])
         # and so is a2: dL/dz1 goes over it
-        dz1 = np.matmul(dz2, w[1].T, out=self._view(self._a2, a1.shape[1]))
+        dz1 = np.matmul(dz2, w[1].T, out=self._view(self._a2, n, a1.shape[1]))
         self._backward_blocks(dz1, a1, None)
         np.matmul(x.T, dz1, out=g.weights[0])
         np.add.reduce(dz1, axis=0, out=g.biases[0])
@@ -352,7 +333,8 @@ class Workspace:
         n, width = a.shape
         l2 = self.config.l2_activity
         coef = 2.0 * l2 / n
-        addend, live = self._tile(self._addend, width), self._tile(self._flags, width)
+        tile = min(n, TRAIN_BLOCK_ROWS)
+        addend, live = self._view(self._addend, tile, width), self._view(self._flags, tile, width)
         for b in _row_blocks(n):
             d, ab = dz[b], a[b]
             if mask is not None:
@@ -379,8 +361,8 @@ def forward(params: NetParams, states: np.ndarray, config: NetConfig) -> np.ndar
 
     Deterministic (no dropout): over the :func:`padded` states, layers 1–2
     run in blocks of ``EVAL_BLOCK_ROWS`` rows, then the output layer once
-    over all rows. The train-mode pass is :func:`hidden`,
-    :meth:`Workspace.take` and then :meth:`Workspace.train_q`.
+    over all rows. The train-mode pass is :func:`hidden`, then
+    :meth:`Workspace.loss_and_grads`.
     """
     n, x = _padded_states(states, config)
     a1 = np.empty((min(len(x), EVAL_BLOCK_ROWS), config.hidden_dims[0]))
@@ -413,13 +395,12 @@ def loss_and_grads(
     n, x = _padded_states(states, config)
     p = len(x)
     ws = Workspace(config, n)
-    # the mask and the dropped-out layer 2 are free until train_q runs: the
-    # pass goes there, not into two more [n, width] arrays, and take copies
-    # it to the train rows
+    # the mask and the dropped-out layer 2 are free until the step gathers its
+    # train rows, which it does first: the pass goes there, not into two more
+    # [n, width] arrays
     a1, a2 = ws._scratch[: p * config.hidden_dims[0]].reshape(p, -1), ws._mask[:p]
     _, bad = hidden(params, x, a1, a2, ws._flags)
-    ws.take(x, a1, a2, np.arange(n), bad)
-    return ws.loss_and_grads(params, actions, targets, rng)
+    return ws.loss_and_grads(params, x, a1, a2, np.arange(n), bad, actions, targets, rng)
 
 
 def adam_step(

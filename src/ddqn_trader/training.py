@@ -59,6 +59,9 @@ class TrainConfig:
             raise ConfigError(f"early_stop_streak must be >= 1, got {self.early_stop_streak}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        width, input_dim = self.env.frame.n_features, self.agent.net.input_dim
+        if width != input_dim:
+            raise ConfigError(f"frame has {width} features but the net's input_dim is {input_dim}")
         if self.schedule.total_episodes < self.episodes:
             raise ConfigError(
                 f"schedule covers {self.schedule.total_episodes} episodes, "

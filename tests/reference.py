@@ -10,8 +10,9 @@ next states.
 :func:`frame_targets` runs a hand-built batch through the frame path.
 
 :func:`reference_loss_and_grads` is the gradient step as one whole-batch
-pass per operation, which ``net.Workspace`` runs in row blocks, and
-:func:`load_train_rows` loads explicit states into a workspace.
+pass per operation, which ``net.Workspace.loss_and_grads`` runs in row
+blocks, and :func:`load_train_rows` makes that call's train-row arguments
+from explicit states.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from ddqn_trader.agent import Agent, ReplayBuffer, _FramePass
 from ddqn_trader.errors import NumericsError
-from ddqn_trader.net import NetConfig, NetParams, Workspace, forward, hidden, padded
+from ddqn_trader.net import NetConfig, NetParams, forward, hidden, padded
 
 
 @dataclass
@@ -89,11 +90,11 @@ def padded_rows(rows: np.ndarray) -> np.ndarray:
 def reference_loss_and_grads(params: NetParams, x: np.ndarray, a1: np.ndarray, a2: np.ndarray,
                              bad: str | None, actions: np.ndarray, targets: np.ndarray,
                              config: NetConfig, rng: np.random.Generator | None):
-    """``Workspace.train_q`` then ``Workspace.loss_and_grads`` over the train
-    rows ``x``, ``a1``, ``a2`` of a layers-1–2 pass that reported ``bad``,
-    each elementwise operation over the whole batch at once and in fresh
-    arrays, and the output layer over padded rows. Returns (loss, grads,
-    mask); mask is None without dropout."""
+    """``Workspace.loss_and_grads`` over the train rows ``x``, ``a1``, ``a2``
+    of a layers-1–2 pass that reported ``bad``, each elementwise operation
+    over the whole batch at once and in fresh arrays, and the output layer
+    over padded rows. Returns (loss, grads, mask); mask is None without
+    dropout."""
     n, rate, l2 = len(x), config.dropout_rate, config.l2_activity
     w, b = params.weights, params.biases
     actions = np.asarray(actions, dtype=np.intp)
@@ -147,10 +148,11 @@ def reference_loss_and_grads(params: NetParams, x: np.ndarray, a1: np.ndarray, a
     return loss, NetParams(gw, gb), mask
 
 
-def load_train_rows(ws: Workspace, params: NetParams, states: np.ndarray) -> None:
-    """Layers 1–2 of ``params`` over ``states``, loaded into ``ws`` as its
-    train rows through ``Workspace.take``, as ``net.loss_and_grads`` does."""
-    n, (h1, h2) = len(states), ws.config.hidden_dims
+def load_train_rows(config: NetConfig, params: NetParams, states: np.ndarray):
+    """Layers 1–2 of ``params`` over ``states`` as the train-row arguments
+    of ``Workspace.loss_and_grads``, every row in order, as
+    ``net.loss_and_grads`` passes them: (x, a1, a2, index, bad)."""
+    n, (h1, h2) = len(states), config.hidden_dims
     a1, a2 = np.empty((n, h1)), np.empty((n, h2))
     _, bad = hidden(params, states, a1, a2, np.empty(n * max(h1, h2), dtype=bool))
-    ws.take(states, a1, a2, np.arange(n), bad)
+    return states, a1, a2, np.arange(n), bad

@@ -472,8 +472,8 @@ def test_workspace_reuse_leaks_nothing():
         states = data.normal(size=(n, 3))
         actions = data.integers(0, 3, size=n)
         targets = data.normal(size=n)
-        load_train_rows(ws, params, states)
-        loss, grads = ws.loss_and_grads(params, actions, targets, np.random.default_rng(n))
+        loss, grads = ws.loss_and_grads(params, *load_train_rows(config, params, states),
+                                        actions, targets, np.random.default_rng(n))
         fresh_loss, fresh_grads = loss_and_grads(params, states, actions, targets, config,
                                                  rng=np.random.default_rng(n))
         assert loss == fresh_loss

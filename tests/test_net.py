@@ -181,14 +181,15 @@ def test_forward_train_dropout_masks():
     params = init_params(config, np.random.default_rng(0))
     rng = np.random.default_rng(8)
     x = np.abs(np.random.default_rng(2).normal(size=(200, 2))) + 0.1
-    ws = Workspace(config, len(x))  # the train-mode forward: hidden, take, then train_q
-    load_train_rows(ws, params, x)
-    ws.train_q(params, rng)
-    mask = ws.mask.copy()  # ws.mask is a view the next train_q overwrites
+    ws = Workspace(config, len(x))  # the train-mode forward: hidden, then the gradient step
+    rows = load_train_rows(config, params, x)
+    actions, targets = np.zeros(len(x), dtype=np.intp), np.zeros(len(x))
+    ws.loss_and_grads(params, *rows, actions, targets, rng)
+    mask = ws.mask.copy()  # ws.mask is a view the next call overwrites
     assert set(np.unique(mask)) <= {0.0, 2.0}  # inverted scaling 1/(1-p)
     drop_fraction = np.mean(mask == 0.0)
     assert 0.45 < drop_fraction < 0.55
-    ws.train_q(params, rng)
+    ws.loss_and_grads(params, *rows, actions, targets, rng)
     assert not np.array_equal(mask, ws.mask)  # fresh masks per call
 
 
@@ -196,9 +197,9 @@ def test_forward_train_without_rng_errors():
     config = NetConfig(input_dim=2, dropout_rate=0.5)
     params = init_params(NetConfig(input_dim=2), np.random.default_rng(0))
     ws = Workspace(config, 1)
-    load_train_rows(ws, params, np.zeros((1, 2)))
+    rows = load_train_rows(config, params, np.zeros((1, 2)))
     with pytest.raises(ValueError, match="rng"):
-        ws.train_q(params, None)
+        ws.loss_and_grads(params, *rows, np.zeros(1, dtype=np.intp), np.zeros(1), None)
 
 
 # ----------------------------------------------------------- loss and grads
@@ -260,8 +261,8 @@ def test_dropout_mask_applied_consistently_in_backward():
     x = np.array([[0.4, 0.2]])
     rng_a = np.random.default_rng(3)
     ws = Workspace(config, 1)
-    load_train_rows(ws, params, x)
-    ws.train_q(params, rng_a)
+    ws.loss_and_grads(params, *load_train_rows(config, params, x), np.array([1]),
+                      np.array([0.5]), rng_a)
     rng_b = np.random.default_rng(3)  # same mask again
     _, grads = loss_and_grads(params, x, np.array([1]), np.array([0.5]), config, rng=rng_b)
     dropped = ws.mask[0] == 0.0
@@ -335,9 +336,9 @@ def _both_gradient_steps(n, dropout, l2, plant=None):
     params = init_params(config, np.random.default_rng(1))
     x, a1, a2, bad, actions, targets = _train_rows(config, params, n, plant)
     ws = Workspace(config, n + 7)  # a workspace larger than the batch
-    ws.take(x, a1, a2, np.arange(n), bad)
     sides = []
-    for run in (lambda rng: ws.loss_and_grads(params, actions, targets, rng),
+    for run in (lambda rng: ws.loss_and_grads(params, x, a1, a2, np.arange(n), bad, actions,
+                                              targets, rng),
                 lambda rng: reference_loss_and_grads(params, x, a1, a2, bad, actions,
                                                      targets, config, rng)):
         rng = np.random.default_rng(99)
@@ -387,8 +388,8 @@ def test_loss_is_mean_squared_error_plus_dot_penalty_bit_for_bit(n):
     params = init_params(config, np.random.default_rng(1))
     x, a1, a2, bad, actions, targets = _train_rows(config, params, n, None)
     ws = Workspace(config, n)
-    ws.take(x, a1, a2, np.arange(n), bad)
-    loss, _ = ws.loss_and_grads(params, actions, targets, np.random.default_rng(99))
+    loss, _ = ws.loss_and_grads(params, x, a1, a2, np.arange(n), bad, actions, targets,
+                                np.random.default_rng(99))
     q = (padded_rows(a2 * ws.mask) @ params.weights[2] + params.biases[2])[:n]
     err = q[np.arange(n), actions] - targets
     flat1, flat2 = a1.ravel(), a2.ravel()
@@ -420,23 +421,47 @@ def test_workspace_holds_four_batch_wide_buffers():
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
-def test_spent_train_rows_raise_until_the_next_take(dropout):
+def test_gradient_step_consumes_nothing(dropout):
+    # a call gathers its train rows from the caller's pass and overwrites only
+    # its own buffers, so a second call on the same inputs repeats it
     config = NetConfig(input_dim=3, dropout_rate=dropout, l2_activity=1e-3)
     params = init_params(config, np.random.default_rng(0))
     data = np.random.default_rng(1)
     states, actions, targets = data.normal(size=(8, 3)), data.integers(0, 3, 8), data.normal(size=8)
     ws = Workspace(config, 8)
-    load_train_rows(ws, params, states)
-    _, grads = ws.loss_and_grads(params, actions, targets, np.random.default_rng(2))
-    first = grads.flat.copy()
-    with pytest.raises(ValueError, match="spent by loss_and_grads"):
-        ws.train_q(params, np.random.default_rng(2))
-    with pytest.raises(ValueError, match="spent by loss_and_grads"):
-        ws.loss_and_grads(params, actions, targets, np.random.default_rng(2))
-    load_train_rows(ws, params, states)
-    ws.train_q(params, np.random.default_rng(2))  # a train_q spends nothing
-    _, grads = ws.loss_and_grads(params, actions, targets, np.random.default_rng(2))
-    assert grads.flat.tobytes() == first.tobytes()
+    rows = load_train_rows(config, params, states)
+    results = []
+    for _ in range(2):
+        loss, grads = ws.loss_and_grads(params, *rows, actions, targets, np.random.default_rng(2))
+        mask = None if ws.mask is None else ws.mask.tobytes()
+        results.append((loss.hex(), grads.flat.tobytes(), mask))
+    assert results[0] == results[1]
+    assert (results[0][2] is None) == (dropout == 0.0)
+
+
+@pytest.mark.parametrize("gather", ["repeated", "reversed", "wider_source"])
+@pytest.mark.parametrize("n", [3, 513])
+def test_gradient_step_gathers_train_rows_by_index(n, gather):
+    # The frame path's train rows are rows of its touched-row pass: out of
+    # order, repeated, and from a source longer than the batch. The step over
+    # them equals the reference over x[index], a1[index] and a2[index].
+    config = NetConfig(input_dim=5, dropout_rate=0.1, l2_activity=0.0)
+    params = init_params(config, np.random.default_rng(1))
+    m = 2 * n + 3 if gather == "wider_source" else n
+    x, a1, a2, bad, _, _ = _train_rows(config, params, m, None)
+    data = np.random.default_rng(7)
+    index = {"repeated": np.arange(n) // 2, "reversed": np.arange(n)[::-1].copy(),
+             "wider_source": data.integers(0, m, size=n)}[gather]
+    actions, targets = data.integers(0, 3, size=n), data.normal(size=n)
+    ws = Workspace(config, n)
+    rng, ref_rng = np.random.default_rng(99), np.random.default_rng(99)
+    loss, grads = ws.loss_and_grads(params, x, a1, a2, index, bad, actions, targets, rng)
+    ref_loss, ref_grads, ref_mask = reference_loss_and_grads(
+        params, x[index], a1[index], a2[index], bad, actions, targets, config, ref_rng)
+    assert loss.hex() == ref_loss.hex()
+    assert grads.flat.tobytes() == ref_grads.flat.tobytes()
+    assert ws.mask.tobytes() == ref_mask.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # -------------------------------------------------------------------- adam

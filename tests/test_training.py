@@ -190,6 +190,9 @@ def test_train_config_validation():
             schedule=EpsilonSchedule(total_episodes=5, linear_until=2),
             episodes=10,
         )
+    # a 2-feature frame and an 8-input net fail here, not at the first step
+    with pytest.raises(ConfigError, match="frame has 2 features but the net's input_dim is 8"):
+        small_config(frame, net=NetConfig(input_dim=8))
 
 
 @pytest.mark.parametrize("episodes, held, overrides", [
