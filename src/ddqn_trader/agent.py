@@ -21,7 +21,7 @@ import numpy as np
 
 from . import net
 from .env import Action
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .net import AdamState, NetConfig, NetParams
 from .seeding import rng_streams
 
@@ -220,6 +220,7 @@ def select_action(
 
     Greedy breaks ties toward the lowest action index and runs the online
     network in eval mode, so it is invariant under shifting all Q-values.
+    Raises NumericsError if a greedy Q-value is non-finite.
     """
     if epsilon > 0.0:
         if rng is None:
@@ -227,8 +228,10 @@ def select_action(
         if rng.random() < epsilon:
             return Action(int(rng.integers(0, len(Action))))
     obs = np.asarray(observation, dtype=np.float64).reshape(1, -1)
-    q = net.forward(agent.online, obs, agent.config.net)
-    return Action(int(np.argmax(q[0])))
+    q = net.forward(agent.online, obs, agent.config.net)[0]
+    if not np.isfinite(q).all():
+        raise NumericsError("non-finite Q-values for the greedy action")
+    return Action(int(q.argmax()))
 
 
 class _FramePass:
@@ -259,7 +262,6 @@ class _FramePass:
         self.x, self.a1, self.a2, self.pass_q = (
             np.empty((n, width)) for width in (config.input_dim, h1, h2, len(Action)))
         self.flags = np.empty(n * max(h1, h2), dtype=bool)
-        self.bad = None  # the online pass's non-finite report, raised by the gradient step
         self.cache = None  # the target's Q-values over the frame, from the first step on
         self.cache_weights = np.empty(net.param_count(config))
         self.rows, self.next_rows, self.index, self.next_index, self.actions, self.best = (
@@ -270,8 +272,8 @@ class _FramePass:
     def targets(self, online: NetParams, target: NetParams, gamma: float) -> np.ndarray:
         """Double-Q targets of the batch loaded into ``rows``, ``rewards`` and
         ``dones``. Leaves the online pass in ``x``, ``a1`` and ``a2`` for the
-        gradient step, its report in ``bad`` and each transition's row of it
-        in ``index``."""
+        gradient step and each transition's row of it in ``index``. Raises
+        NumericsError if the online pass's hidden layers are non-finite."""
         np.add(self.rows, 1, out=self.next_rows)
         self.touched.fill(False)
         self.touched[self.rows] = True
@@ -283,7 +285,7 @@ class _FramePass:
         src[:m] = touched_rows
         src[m:] = touched_rows[-1]
         self.states.take(src, axis=0, out=self.x[:n], mode="clip")
-        _, self.bad = net.hidden(online, self.x[:n], self.a1[:n], self.a2[:n], self.flags)
+        net.hidden(online, self.x[:n], self.a1[:n], self.a2[:n], self.flags)
         q = net.head(online, self.a2[:n], self.pass_q[:n])
         self.slot.take(self.rows, out=self.index, mode="clip")
         self.slot.take(self.next_rows, out=self.next_index, mode="clip")
@@ -321,7 +323,7 @@ def train_step(agent: Agent, buffer: ReplayBuffer) -> float | None:
     buffer.take(slots, frame.rows, frame.actions, frame.rewards, frame.dones)
     targets = frame.targets(agent.online, agent.target, cfg.gamma)
     loss, grads = frame.ws.loss_and_grads(agent.online, frame.x, frame.a1, frame.a2, frame.index,
-                                          frame.bad, frame.actions, targets, agent._dropout_rng)
+                                          frame.actions, targets, agent._dropout_rng)
     net.adam_step(agent.online, grads, agent.adam, cfg.lr)
     agent.gradient_steps += 1
     if cfg.target_sync_unit == "steps" and agent.gradient_steps % cfg.target_sync_every == 0:

@@ -274,10 +274,6 @@ def cmd_evaluate(args) -> int:
     else:
         raise DataError(f"checkpoint width {width} maps to no model; pass --model")
     frame = read_frame_csv(args.frame, model)
-    if frame.n_features != width:
-        raise DataError(
-            f"checkpoint expects {width} input features but frame has {frame.n_features}"
-        )
     result = run_backtest(agent, frame, costs)
     _output_paths(args.out, ["report.json", "nav_curves.csv"], args.force)
     report_path, _ = emit_report({model.name: result}, costs, args.out, use_gross=args.gross)
@@ -315,9 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="flat key=value config file")
+    def common(p):
+        p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--model", type=int, choices=(0, 1, 2, 3), help="feature-set model id")
         p.add_argument("--costs", choices=sorted(COST_PRESETS),

@@ -13,7 +13,8 @@ penalty, and the learning rate is batch-size invariant.
 Parameters live in one float64 vector with per-layer views into it, and the
 activations and gradients of a batch live in a reusable :class:`Workspace`,
 whose one call, :meth:`Workspace.loss_and_grads`, is a gradient step: it
-gathers the train rows of an earlier layers-1–2 pass, draws the dropout mask
+gathers the train rows of an earlier layers-1–2 pass (:func:`hidden`, which
+raises on a non-finite value where it finds one), draws the dropout mask
 and runs the output layer, the loss and the backward pass. It holds four
 [batch, width] float64 buffers (a1, a2, the dropout mask and the dropped-out
 layer 2), so a gradient step that keeps its workspace allocates no
@@ -105,25 +106,15 @@ class NetConfig:
 
 
 class NetParams:
-    """Per-layer weight matrices [in, out] and bias vectors [out], stored in one vector.
+    """Per-layer weight matrices [in, out] and bias vectors [out] over one vector.
 
-    ``flat`` holds W1, b1, W2, b2, W3, b3 back to back; ``weights[i]`` and
-    ``biases[i]`` are reshaped views into it. Writing through a view writes
-    ``flat``, and one vector op on ``flat`` updates every layer.
+    ``flat`` holds W1, b1, W2, b2, W3, b3 back to back for the [in, out]
+    ``shapes``; ``weights[i]`` and ``biases[i]`` are reshaped views into it.
+    Writing through a view writes ``flat``, and one vector op on ``flat``
+    updates every layer.
     """
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
-        blocks = [np.ravel(a) for pair in zip(weights, biases) for a in pair]
-        self._bind(np.concatenate(blocks, dtype=np.float64), [np.shape(w) for w in weights])
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, shapes) -> "NetParams":
-        """Views over an existing vector laid out as W1, b1, W2, b2, W3, b3."""
-        params = cls.__new__(cls)
-        params._bind(flat, shapes)
-        return params
-
-    def _bind(self, flat: np.ndarray, shapes) -> None:
+    def __init__(self, flat: np.ndarray, shapes):
         self.flat = flat
         self.shapes = tuple(tuple(s) for s in shapes)
         self.weights, self.biases = [], []
@@ -135,7 +126,7 @@ class NetParams:
             offset += fan_out
 
     def clone(self) -> "NetParams":
-        return NetParams.from_flat(self.flat.copy(), self.shapes)
+        return NetParams(self.flat.copy(), self.shapes)
 
 
 @dataclass
@@ -153,7 +144,7 @@ def param_count(config: NetConfig) -> int:
 
 def init_params(config: NetConfig, rng: np.random.Generator) -> NetParams:
     """He-uniform weights scaled by fan-in, drawn from ``rng`` layer by layer; zero biases."""
-    params = NetParams.from_flat(np.zeros(param_count(config)), config.layer_shapes)
+    params = NetParams(np.zeros(param_count(config)), config.layer_shapes)
     for w in params.weights:
         limit = math.sqrt(6.0 / len(w))  # len(w) is the fan-in
         w[:] = rng.uniform(-limit, limit, size=w.shape)
@@ -179,25 +170,20 @@ def _all_finite(arr: np.ndarray, flags: np.ndarray) -> bool:
     return bool(np.logical_and.reduce(ok, axis=None))
 
 
-def hidden(params: NetParams, x: np.ndarray, a1=None, a2=None, flags=None):
+def hidden(params: NetParams, x: np.ndarray, a1=None, a2=None, flags=None) -> np.ndarray:
     """Layers 1–2, each ReLU applied in place on its pre-activation (a > 0
     exactly where z > 0, so the backward pass reads the mask off a).
 
-    Returns (a2, bad). Given the bool scratch ``flags``, bad names the first
-    layer whose pre-activations hold a non-finite value; without it, or if
-    all are finite, bad is None.
+    Returns a2. Given the bool scratch ``flags``, raises NumericsError naming
+    the first layer whose pre-activations hold a non-finite value.
     """
-    w, b = params.weights, params.biases
-    bad = None
-    a1 = _affine(x, w[0], b[0], a1)
-    if flags is not None and not _all_finite(a1, flags):
-        bad = "hidden layer 1"
-    np.maximum(a1, 0.0, out=a1)
-    a2 = _affine(a1, w[1], b[1], a2)
-    if flags is not None and bad is None and not _all_finite(a2, flags):
-        bad = "hidden layer 2"
-    np.maximum(a2, 0.0, out=a2)
-    return a2, bad
+    a = x
+    for i, out in enumerate((a1, a2)):
+        a = _affine(a, params.weights[i], params.biases[i], out)
+        if flags is not None and not _all_finite(a, flags):
+            raise NumericsError(f"non-finite values in hidden layer {i + 1}")
+        np.maximum(a, 0.0, out=a)
+    return a
 
 
 def head(params: NetParams, a2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -236,7 +222,7 @@ class Workspace:
         self._scratch = np.empty(batch * max(h1, h2))  # dropped-out a2, then dL/dz2
         self._addend = np.empty(min(batch, TRAIN_BLOCK_ROWS) * max(h1, h2))  # L2 terms
         self._flags = np.empty(batch * max(h1, h2, len(Action)), dtype=bool)
-        self.grads = NetParams.from_flat(np.empty(param_count(config)), config.layer_shapes)
+        self.grads = NetParams(np.empty(param_count(config)), config.layer_shapes)
         self.row_ids = np.arange(batch)  # 0..batch-1, to pick one Q-value per row
         self.mask: np.ndarray | None = None  # dropout mask of the last call
 
@@ -251,7 +237,6 @@ class Workspace:
         a1: np.ndarray,
         a2: np.ndarray,
         index: np.ndarray,
-        bad: str | None,
         actions: np.ndarray,
         targets: np.ndarray,
         rng: np.random.Generator | None,
@@ -259,12 +244,13 @@ class Workspace:
         """Loss and gradients of one gradient step; see :func:`loss_and_grads`.
         The gradients are ``self.grads``.
 
-        The train rows come from an earlier layers-1–2 pass that reported
-        ``bad``: row i is row ``index[i]`` of ``x``, ``a1`` and ``a2``. The
-        gathers clip, so every index must already be in range. Layer 2 gets
-        a fresh inverted-dropout mask, drawn from ``rng`` block by block in
-        row order (the same doubles as one whole-batch draw), and the output
-        layer runs over :func:`padded` rows.
+        The train rows come from an earlier layers-1–2 pass, which
+        :func:`hidden` checked for non-finite values: row i is row
+        ``index[i]`` of ``x``, ``a1`` and ``a2``. The gathers clip, so every
+        index must already be in range. Layer 2 gets a fresh inverted-dropout
+        mask, drawn from ``rng`` block by block in row order (the same doubles
+        as one whole-batch draw), and the output layer runs over
+        :func:`padded` rows.
         """
         actions = np.asarray(actions, dtype=np.intp)
         targets = np.asarray(targets, dtype=np.float64)
@@ -292,9 +278,7 @@ class Workspace:
                 np.multiply(np.less(mask, keep, out=kept[: len(mask)]), scale, out=mask)
                 np.multiply(a2[b], mask, out=dropped[b])
         dropped[n:] = dropped[n - 1 : n]
-        q = _affine(dropped, params.weights[2], params.biases[2], self.q[:p])[:n]
-        if bad is not None:
-            raise NumericsError(f"non-finite values in {bad}")
+        q = head(params, dropped, self.q[:p])[:n]
         if not _all_finite(q, self._flags):
             raise NumericsError("non-finite values in output layer")
 
@@ -399,8 +383,8 @@ def loss_and_grads(
     # train rows, which it does first: the pass goes there, not into two more
     # [n, width] arrays
     a1, a2 = ws._scratch[: p * config.hidden_dims[0]].reshape(p, -1), ws._mask[:p]
-    _, bad = hidden(params, x, a1, a2, ws._flags)
-    return ws.loss_and_grads(params, x, a1, a2, np.arange(n), bad, actions, targets, rng)
+    hidden(params, x, a1, a2, ws._flags)
+    return ws.loss_and_grads(params, x, a1, a2, np.arange(n), actions, targets, rng)
 
 
 def adam_step(

@@ -120,13 +120,13 @@ def run_training(
         obs = env.reset(streams["env"])
         for step in range(config.env.episode_length):
             row = env.state.cursor
-            if action_override is not None:
-                action = int(action_override(obs, streams["epsilon"]))
-            else:
-                action = select_action(agent, obs, eps, streams["epsilon"])
-            result = env.step(action)
-            buffer.store(row, action, result.reward, result.done)
             try:
+                if action_override is not None:
+                    action = int(action_override(obs, streams["epsilon"]))
+                else:
+                    action = select_action(agent, obs, eps, streams["epsilon"])
+                result = env.step(action)
+                buffer.store(row, action, result.reward, result.done)
                 train_step(agent, buffer)
             except NumericsError as exc:
                 raise NumericsError(f"episode {episode}, step {step}: {exc}") from exc
@@ -346,7 +346,7 @@ def load_checkpoint(path, seed: int = 0) -> Agent:
         for name, count in (("adam.t", adam["t"]), ("gradient_steps", record["gradient_steps"])):
             if type(count) is not int or count < 0:  # a bool is not an int here
                 raise CheckpointError(f"{name} must be an integer >= 0, got {json.dumps(count)}")
-        online, target = (net.NetParams.from_flat(v, net_config.layer_shapes) for v in vectors[:2])
+        online, target = (net.NetParams(v, net_config.layer_shapes) for v in vectors[:2])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
     streams = rng_streams(seed)

@@ -5,6 +5,7 @@ import pytest
 
 from ddqn_trader.market_data import FeatureFrame, ModelId
 from ddqn_trader.net import NetConfig, NetParams
+from reference import params_from_layers
 
 
 def weekdays(start: date, count: int) -> tuple[date, ...]:
@@ -53,9 +54,9 @@ def with_head(record: dict, width: int) -> dict:
     shapes = NetConfig(input_dim=2).layer_shapes
 
     def widen(flat):
-        p = NetParams.from_flat(np.array(flat), shapes)
+        p = NetParams(np.array(flat), shapes)
         w3, b3 = np.resize(p.weights[2], (shapes[2][0], width)), np.resize(p.biases[2], width)
-        return NetParams(p.weights[:2] + [w3], p.biases[:2] + [b3]).flat.tolist()
+        return params_from_layers(p.weights[:2] + [w3], p.biases[:2] + [b3]).flat.tolist()
 
     return _checkpoint_vectors(record, widen)
 
@@ -67,7 +68,7 @@ def version_1_record(record: dict) -> dict:
     shapes = NetConfig(input_dim=2).layer_shapes
 
     def layers(flat):
-        p = NetParams.from_flat(np.array(flat), shapes)
+        p = NetParams(np.array(flat), shapes)
         return {"weights": [w.ravel().tolist() for w in p.weights],
                 "biases": [b.tolist() for b in p.biases]}
 

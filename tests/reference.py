@@ -12,7 +12,10 @@ next states.
 :func:`reference_loss_and_grads` is the gradient step as one whole-batch
 pass per operation, which ``net.Workspace.loss_and_grads`` runs in row
 blocks, and :func:`load_train_rows` makes that call's train-row arguments
-from explicit states.
+from explicit states. The non-finite checks of the layers-1–2 pass belong
+to ``net.hidden``, which raises before that call.
+
+:func:`params_from_layers` builds a hand-set network from per-layer arrays.
 """
 
 import math
@@ -35,6 +38,13 @@ class TransitionBatch:
 
     def __len__(self) -> int:
         return len(self.actions)
+
+
+def params_from_layers(weights, biases) -> NetParams:
+    """``NetParams`` over a float64 copy of per-layer weights [in, out] and
+    biases [out], laid out as W1, b1, W2, b2, W3, b3."""
+    blocks = [np.ravel(a) for pair in zip(weights, biases) for a in pair]
+    return NetParams(np.concatenate(blocks, dtype=np.float64), [np.shape(w) for w in weights])
 
 
 def taken(buffer: ReplayBuffer, slots: np.ndarray):
@@ -88,13 +98,12 @@ def padded_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def reference_loss_and_grads(params: NetParams, x: np.ndarray, a1: np.ndarray, a2: np.ndarray,
-                             bad: str | None, actions: np.ndarray, targets: np.ndarray,
+                             actions: np.ndarray, targets: np.ndarray,
                              config: NetConfig, rng: np.random.Generator | None):
     """``Workspace.loss_and_grads`` over the train rows ``x``, ``a1``, ``a2``
-    of a layers-1–2 pass that reported ``bad``, each elementwise operation
-    over the whole batch at once and in fresh arrays, and the output layer
-    over padded rows. Returns (loss, grads, mask); mask is None without
-    dropout."""
+    of a layers-1–2 pass, each elementwise operation over the whole batch at
+    once and in fresh arrays, and the output layer over padded rows. Returns
+    (loss, grads, mask); mask is None without dropout."""
     n, rate, l2 = len(x), config.dropout_rate, config.l2_activity
     w, b = params.weights, params.biases
     actions = np.asarray(actions, dtype=np.intp)
@@ -116,8 +125,6 @@ def reference_loss_and_grads(params: NetParams, x: np.ndarray, a1: np.ndarray, a
     q = padded_rows(dropped) @ w[2]
     q += b[2]
     q = q[:n]
-    if bad is not None:
-        raise NumericsError(f"non-finite values in {bad}")
     if not np.isfinite(q).all():
         raise NumericsError("non-finite values in output layer")
 
@@ -145,14 +152,14 @@ def reference_loss_and_grads(params: NetParams, x: np.ndarray, a1: np.ndarray, a
         dz1 += a1 * (2.0 * l2 / n)
     dz1 *= a1 > 0.0
     gw[0], gb[0] = x.T @ dz1, np.sum(dz1, axis=0)
-    return loss, NetParams(gw, gb), mask
+    return loss, params_from_layers(gw, gb), mask
 
 
 def load_train_rows(config: NetConfig, params: NetParams, states: np.ndarray):
     """Layers 1–2 of ``params`` over ``states`` as the train-row arguments
     of ``Workspace.loss_and_grads``, every row in order, as
-    ``net.loss_and_grads`` passes them: (x, a1, a2, index, bad)."""
+    ``net.loss_and_grads`` passes them: (x, a1, a2, index)."""
     n, (h1, h2) = len(states), config.hidden_dims
     a1, a2 = np.empty((n, h1)), np.empty((n, h2))
-    _, bad = hidden(params, states, a1, a2, np.empty(n * max(h1, h2), dtype=bool))
-    return states, a1, a2, np.arange(n), bad
+    hidden(params, states, a1, a2, np.empty(n * max(h1, h2), dtype=bool))
+    return states, a1, a2, np.arange(n)

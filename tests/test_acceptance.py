@@ -17,14 +17,13 @@ from ddqn_trader.evaluation import oracle_actions, run_backtest, score_actions
 from ddqn_trader.market_data import ModelId, SplitSpec, build_features, split, synth_generate
 from ddqn_trader.net import (
     NetConfig,
-    NetParams,
     forward,
     init_params,
     loss_and_grads,
     param_count,
 )
 from ddqn_trader.training import TrainConfig, run_training, save_checkpoint, write_log_csv
-from reference import TransitionBatch, frame_targets
+from reference import TransitionBatch, frame_targets, params_from_layers
 from workers import map_in_workers, map_jobs
 
 NO_COST = CostModel(0.0, 0.0)
@@ -143,8 +142,8 @@ def _fixture_agent(online_head, target_head, gamma=0.9):
     agent = Agent.create(config, seed=0)
     body_w = [np.array([[1.0], [1.0]]), np.array([[1.0]])]
     body_b = [np.zeros(1), np.zeros(1)]
-    agent.online = NetParams(body_w + [np.array([online_head])], body_b + [np.zeros(3)])
-    agent.target = NetParams(
+    agent.online = params_from_layers(body_w + [np.array([online_head])], body_b + [np.zeros(3)])
+    agent.target = params_from_layers(
         [w.copy() for w in body_w] + [np.array([target_head])],
         [b.copy() for b in body_b] + [np.zeros(3)],
     )

@@ -19,10 +19,9 @@ from ddqn_trader.agent import (
     train_step,
 )
 from ddqn_trader.env import Action
-from ddqn_trader.errors import ConfigError
+from ddqn_trader.errors import ConfigError, NumericsError
 from ddqn_trader.net import (
     NetConfig,
-    NetParams,
     Workspace,
     adam_step,
     forward,
@@ -34,6 +33,7 @@ from reference import (
     compute_targets,
     frame_targets,
     load_train_rows,
+    params_from_layers,
     sample,
     taken,
 )
@@ -145,7 +145,7 @@ def test_agent_config_bounds_replay_capacity(capacity):
 def test_greedy_argmax():
     agent = tiny_agent()
     # bias-only net: q = b3 for any state through zeroed weights
-    agent.online = NetParams(
+    agent.online = params_from_layers(
         [np.zeros(s) for s in agent.config.net.layer_shapes],
         [np.zeros(64), np.zeros(64), np.array([0.1, 0.5, 0.2])],
     )
@@ -154,7 +154,7 @@ def test_greedy_argmax():
 
 def test_greedy_tie_breaks_to_lowest_index():
     agent = tiny_agent()
-    agent.online = NetParams(
+    agent.online = params_from_layers(
         [np.zeros(s) for s in agent.config.net.layer_shapes],
         [np.zeros(64), np.zeros(64), np.array([0.3, 0.3, 0.1])],
     )
@@ -182,6 +182,23 @@ def test_epsilon_one_uniform_frequencies():
     assert np.all((freqs >= 0.32) & (freqs <= 0.35))
     chi2 = float(((counts - 10_000.0) ** 2 / 10_000.0).sum())
     assert chi2 < CHI2_CRIT_DF2_P01
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("weight", [np.nan, 1e200])
+def test_greedy_action_rejects_non_finite_q_values(weight):
+    # NaN weights give NaN Q-values and 1e200 weights overflow; argmax would
+    # turn either into Action.SHORT
+    agent = tiny_agent()
+    agent.online.flat[:] = weight
+    with pytest.raises(NumericsError, match="^non-finite Q-values for the greedy action$"):
+        select_action(agent, np.full(2, 0.5), epsilon=0.0)
+    # exploring draws its action without a forward, as before
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(20):
+        twin.random()  # the draw against epsilon
+        expected = Action(int(twin.integers(0, 3)))
+        assert select_action(agent, np.full(2, 0.5), 1.0, rng) == expected
 
 
 def test_select_action_requires_rng_when_exploring():
@@ -275,8 +292,8 @@ def _two_net_agent(online_head, target_head):
     agent = Agent.create(config, seed=0)
     body_w = [np.array([[1.0], [1.0]]), np.array([[1.0]])]
     body_b = [np.zeros(1), np.zeros(1)]
-    agent.online = NetParams(body_w + [np.array([online_head])], body_b + [np.zeros(3)])
-    agent.target = NetParams(
+    agent.online = params_from_layers(body_w + [np.array([online_head])], body_b + [np.zeros(3)])
+    agent.target = params_from_layers(
         [w.copy() for w in body_w] + [np.array([target_head])],
         [b.copy() for b in body_b] + [np.zeros(3)],
     )

@@ -30,7 +30,7 @@ def _layer2(n: int, seed: int):
     rng = np.random.default_rng(seed)
     params = init_params(CONFIG, rng)
     states = rng.normal(size=(n, CONFIG.input_dim))
-    return params, states, hidden(params, states)[0]
+    return params, states, hidden(params, states)
 
 
 @pytest.mark.parametrize("n", [255, 256, 4096, 4099])
@@ -61,4 +61,4 @@ def test_head_tail_row_rounds_alike_with_the_same_tail(n, body):
 def test_hidden_rows_round_alike_at_2_rows_or_more(m):
     params, states, a2 = _layer2(4096, seed=3)
     rows = np.random.default_rng(m).choice(4096, size=m, replace=False)
-    assert np.array_equal(hidden(params, np.ascontiguousarray(states[rows]))[0], a2[rows])
+    assert np.array_equal(hidden(params, np.ascontiguousarray(states[rows])), a2[rows])

@@ -233,6 +233,23 @@ def test_evaluate_width_mismatch_exit_code(workspace, tmp_path):
     assert code == 2
 
 
+def test_evaluate_model_option_against_checkpoint_width_exit_code(workspace, capsys):
+    # --model 1 reads the M1 frame, whose 4 features the M0 checkpoint cannot take
+    ws, config = workspace
+    prep, prep1, run = ws / "prep", ws / "prep1", ws / "run"
+    assert main(["prepare", "--config", str(config), "--out", str(prep)]) == 0
+    assert main(["train", "--config", str(config), "--frame", str(prep / "train_frame.csv"),
+                 "--out", str(run)]) == 0
+    assert main(["prepare", "--config", str(config), "--model", "1", "--out", str(prep1)]) == 0
+    capsys.readouterr()
+    code = main(["evaluate", "--config", str(config), "--model", "1", "--checkpoint",
+                 str(run / "checkpoint.json"), "--frame", str(prep1 / "test_frame.csv"),
+                 "--out", str(ws / "ev")])
+    assert code == 2
+    assert _one_error_line(capsys) == "error: frame has 4 features but the agent expects 2\n"
+    assert not (ws / "ev").exists()
+
+
 def test_evaluate_checkpoint_width_of_no_model_exit_code(workspace, capsys):
     ws, config = workspace
     prep = ws / "prep"

@@ -21,10 +21,11 @@ from ddqn_trader.evaluation import (
     score_actions,
 )
 from ddqn_trader.market_data import ModelId
-from ddqn_trader.net import NetConfig, NetParams, forward
+from ddqn_trader.net import NetConfig, forward
 from ddqn_trader.training import TrainConfig, run_training
 
 from conftest import make_frame
+from reference import params_from_layers
 
 NO_COST = CostModel(0.0, 0.0)
 
@@ -40,7 +41,7 @@ def make_agent(width=2, seed=0):
 def zeroed_agent(width=2):
     agent = make_agent(width)
     shapes = agent.config.net.layer_shapes
-    agent.online = NetParams([np.zeros(s) for s in shapes], [np.zeros(s[1]) for s in shapes])
+    agent.online = params_from_layers([np.zeros(s) for s in shapes], [np.zeros(s[1]) for s in shapes])
     agent.target = agent.online.clone()
     return agent
 

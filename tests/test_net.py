@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ddqn_trader.agent import Agent, AgentConfig, ReplayBuffer, train_step
 from ddqn_trader.env import Action
 from ddqn_trader.errors import ConfigError, NumericsError
 from ddqn_trader.net import (
@@ -21,14 +22,11 @@ from ddqn_trader.net import (
     loss_and_grads,
     param_count,
 )
-from reference import load_train_rows, padded_rows, reference_loss_and_grads
+from reference import load_train_rows, padded_rows, params_from_layers, reference_loss_and_grads
 
 
 def zero_params(config):
-    return NetParams(
-        [np.zeros(s) for s in config.layer_shapes],
-        [np.zeros(s[1]) for s in config.layer_shapes],
-    )
+    return NetParams(np.zeros(param_count(config)), config.layer_shapes)
 
 
 def flatten(params):
@@ -38,10 +36,7 @@ def flatten(params):
 def finite_difference_grads(params, states, actions, targets, config, h=1e-5):
     """Central differences on every parameter coordinate, with dropout off."""
     config = dataclasses.replace(config, dropout_rate=0.0)
-    grads = NetParams(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
+    grads = NetParams(np.zeros_like(params.flat), params.shapes)
     for kind in ("weights", "biases"):
         for layer, arr in enumerate(getattr(params, kind)):
             out = getattr(grads, kind)[layer]
@@ -148,7 +143,7 @@ def test_forward_eval_blocks_equal_one_pass(input_dim):
                  EVAL_BLOCK_ROWS + 2, 2 * EVAL_BLOCK_ROWS + 1, 749, 1000):
         states = rng.normal(size=(rows, input_dim))
         q = forward(params, states, config)
-        a2, _ = hidden(params, padded_rows(states))
+        a2 = hidden(params, padded_rows(states))
         assert q.tobytes() == head(params, a2)[:rows].tobytes()
 
 
@@ -161,7 +156,7 @@ def test_forward_eval_empty_batch():
 def test_forward_handcrafted_single_unit():
     # one unit per hidden layer, hand-computed activations
     config = NetConfig(input_dim=1, hidden_dims=(1, 1), dropout_rate=0.0, l2_activity=0.0)
-    params = NetParams(
+    params = params_from_layers(
         [np.array([[2.0]]), np.array([[1.5]]), np.array([[0.2, -0.3, 0.1]])],
         [np.array([0.5]), np.array([-1.0]), np.array([0.05, 0.0, -0.05])],
     )
@@ -221,7 +216,7 @@ def test_linear_fixture_gradient_closed_form():
     # pass-through weights keep everything linear on the positive side, so the
     # input-layer gradient is exactly 2*(Q - y) * state
     config = NetConfig(input_dim=2, hidden_dims=(1, 1), dropout_rate=0.0, l2_activity=0.0)
-    params = NetParams(
+    params = params_from_layers(
         [np.array([[1.0], [0.0]]), np.array([[1.0]]), np.array([[1.0, 0.0, 0.0]])],
         [np.zeros(1), np.zeros(1), np.zeros(3)],
     )
@@ -314,18 +309,15 @@ def test_loss_mean_reduction_batch_invariant():
 
 
 def _train_rows(config, params, n, plant):
-    """States and their layers-1–2 pass. A NaN is planted in the last row
-    of ``plant`` unless that is None: before the pass in "x", after it in
-    "a1" or "a2"."""
+    """States and their layers-1–2 pass. Unless ``plant`` is None, a NaN is
+    planted after the pass in the last row of "a1" or "a2"."""
     data = np.random.default_rng(n)
     x = data.normal(size=(n, config.input_dim))
-    if plant == "x":
-        x[n - 1, 0] = np.nan
     a1, a2 = np.empty((n, config.hidden_dims[0])), np.empty((n, config.hidden_dims[1]))
-    _, bad = hidden(params, x, a1, a2, np.empty(n * 64, dtype=bool))
-    if plant in ("a1", "a2"):
+    hidden(params, x, a1, a2, np.empty(n * 64, dtype=bool))
+    if plant is not None:
         {"a1": a1, "a2": a2}[plant][n - 1, 5] = np.nan
-    return x, a1, a2, bad, data.integers(0, 3, size=n), data.normal(size=n)
+    return x, a1, a2, data.integers(0, 3, size=n), data.normal(size=n)
 
 
 def _both_gradient_steps(n, dropout, l2, plant=None):
@@ -334,12 +326,12 @@ def _both_gradient_steps(n, dropout, l2, plant=None):
     generator after the call)."""
     config = NetConfig(input_dim=5, dropout_rate=dropout, l2_activity=l2)
     params = init_params(config, np.random.default_rng(1))
-    x, a1, a2, bad, actions, targets = _train_rows(config, params, n, plant)
+    x, a1, a2, actions, targets = _train_rows(config, params, n, plant)
     ws = Workspace(config, n + 7)  # a workspace larger than the batch
     sides = []
-    for run in (lambda rng: ws.loss_and_grads(params, x, a1, a2, np.arange(n), bad, actions,
+    for run in (lambda rng: ws.loss_and_grads(params, x, a1, a2, np.arange(n), actions,
                                               targets, rng),
-                lambda rng: reference_loss_and_grads(params, x, a1, a2, bad, actions,
+                lambda rng: reference_loss_and_grads(params, x, a1, a2, actions,
                                                      targets, config, rng)):
         rng = np.random.default_rng(99)
         try:
@@ -370,7 +362,6 @@ def test_blocked_gradient_step_equals_whole_batch_reference(n, dropout, l2):
 @pytest.mark.parametrize("plant, l2, message", [
     ("a2", 0.0, "non-finite values in output layer"),
     ("a1", 1e-6, "non-finite loss"),
-    ("x", 0.0, "non-finite values in hidden layer 1"),
 ])
 @pytest.mark.parametrize("n", [3, 513, 1029])
 def test_blocked_gradient_step_fails_like_reference(n, plant, l2, message):
@@ -380,15 +371,50 @@ def test_blocked_gradient_step_fails_like_reference(n, plant, l2, message):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("nan_targets", [False, True])
+@pytest.mark.parametrize("plant, message", [
+    ("x", "non-finite values in hidden layer 1"),  # NaN in the states' first column
+    ("b2", "non-finite values in hidden layer 2"),  # NaN in layer 2's first bias
+])
+@pytest.mark.parametrize("path", ["frame", "public"])
+@pytest.mark.parametrize("n", [3, 513, 1029])
+def test_non_finite_hidden_layer_raises_before_the_dropout_draw(n, path, plant, message,
+                                                                nan_targets):
+    # The layers-1–2 pass raises where it goes non-finite, before the step
+    # checks its targets or draws a dropout mask: on the frame path
+    # (train_step, through _FramePass's online pass) and the public one.
+    config = NetConfig(input_dim=5, dropout_rate=0.1, l2_activity=1e-6)
+    agent = Agent.create(AgentConfig(net=config, batch_size=n, replay_capacity=n), seed=0)
+    states = np.random.default_rng(n).normal(size=(n + 1, 5))
+    if plant == "x":
+        states[:, 0] = np.nan
+    else:
+        agent.online.biases[1][0] = np.nan
+    rewards = np.full(n, np.nan if nan_targets else 0.5)
+    rng = agent._dropout_rng if path == "frame" else np.random.default_rng(99)
+    before = rng.bit_generator.state
+    with pytest.raises(NumericsError) as failure:
+        if path == "frame":
+            buffer = ReplayBuffer(n, states)
+            for row in range(n):
+                buffer.store(row, row % 3, rewards[row], False)
+            train_step(agent, buffer)
+        else:
+            loss_and_grads(agent.online, states[:n], np.arange(n) % 3, rewards, config, rng)
+    assert str(failure.value) == message
+    assert rng.bit_generator.state == before
+
+
 @pytest.mark.parametrize("n", [1, 3, 256, 513, 4096])
 def test_loss_is_mean_squared_error_plus_dot_penalty_bit_for_bit(n):
     # no output file holds the loss yet; these are the bits one will hold
     l2 = 1e-3
     config = NetConfig(input_dim=5, dropout_rate=0.1, l2_activity=l2)
     params = init_params(config, np.random.default_rng(1))
-    x, a1, a2, bad, actions, targets = _train_rows(config, params, n, None)
+    x, a1, a2, actions, targets = _train_rows(config, params, n, None)
     ws = Workspace(config, n)
-    loss, _ = ws.loss_and_grads(params, x, a1, a2, np.arange(n), bad, actions, targets,
+    loss, _ = ws.loss_and_grads(params, x, a1, a2, np.arange(n), actions, targets,
                                 np.random.default_rng(99))
     q = (padded_rows(a2 * ws.mask) @ params.weights[2] + params.biases[2])[:n]
     err = q[np.arange(n), actions] - targets
@@ -448,16 +474,16 @@ def test_gradient_step_gathers_train_rows_by_index(n, gather):
     config = NetConfig(input_dim=5, dropout_rate=0.1, l2_activity=0.0)
     params = init_params(config, np.random.default_rng(1))
     m = 2 * n + 3 if gather == "wider_source" else n
-    x, a1, a2, bad, _, _ = _train_rows(config, params, m, None)
+    x, a1, a2, _, _ = _train_rows(config, params, m, None)
     data = np.random.default_rng(7)
     index = {"repeated": np.arange(n) // 2, "reversed": np.arange(n)[::-1].copy(),
              "wider_source": data.integers(0, m, size=n)}[gather]
     actions, targets = data.integers(0, 3, size=n), data.normal(size=n)
     ws = Workspace(config, n)
     rng, ref_rng = np.random.default_rng(99), np.random.default_rng(99)
-    loss, grads = ws.loss_and_grads(params, x, a1, a2, index, bad, actions, targets, rng)
+    loss, grads = ws.loss_and_grads(params, x, a1, a2, index, actions, targets, rng)
     ref_loss, ref_grads, ref_mask = reference_loss_and_grads(
-        params, x[index], a1[index], a2[index], bad, actions, targets, config, ref_rng)
+        params, x[index], a1[index], a2[index], actions, targets, config, ref_rng)
     assert loss.hex() == ref_loss.hex()
     assert grads.flat.tobytes() == ref_grads.flat.tobytes()
     assert ws.mask.tobytes() == ref_mask.tobytes()
@@ -481,7 +507,7 @@ def test_adam_updates_its_inputs_in_place():
     flat, before = params.flat, params.flat.copy()
     state = init_adam(config)
     m, v = state.m, state.v
-    grads = NetParams.from_flat(np.full(param_count(config), 0.5), config.layer_shapes)
+    grads = NetParams(np.full(param_count(config), 0.5), config.layer_shapes)
     new_params, new_state = adam_step(params, grads, state, lr=1e-3)
     assert new_params is params and new_state is state
     assert params.flat is flat and state.m is m and state.v is v

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import typing
 
@@ -157,6 +158,17 @@ def test_non_finite_loss_aborts_with_episode():
     # the first gradient step comes at step 7, once 8 transitions fill a batch;
     # its 1e200 update makes the second step's activations overflow
     with pytest.raises(NumericsError, match="^episode 0, step 8: non-finite values in"):
+        run_training(config)
+
+
+def test_non_finite_greedy_action_aborts_with_episode():
+    # acting nearly always greedy: the first gradient step, at step 7, makes
+    # the online Q-values overflow, and step 8 acts on them before it trains
+    config = dataclasses.replace(
+        small_config(trend_frame(sigma=0.01), episodes=2, lr=1e200),
+        schedule=EpsilonSchedule(total_episodes=2, eps_start=1e-9, eps_knee=1e-9, eps_end=1e-9))
+    with pytest.raises(NumericsError,
+                       match="^episode 0, step 8: non-finite Q-values for the greedy action$"):
         run_training(config)
 
 
