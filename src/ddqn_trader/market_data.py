@@ -19,6 +19,7 @@ their sigma fall on ``dates[1:]`` of the price series, the 5-day returns on
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
@@ -333,22 +334,18 @@ def split(frame: FeatureFrame, spec: SplitSpec) -> tuple[FeatureFrame, FeatureFr
                 f"{name} {d.isoformat()} outside frame range "
                 f"[{first.isoformat()}, {last.isoformat()}]"
             )
-    dates = np.array(frame.dates)
-    in_train = (dates >= spec.train_start) & (dates <= spec.train_end)
-    in_test = (dates > spec.train_end) & (dates <= spec.test_end)
-    if not in_train.any() or not in_test.any():
+    # the dates strictly increase, so each side is one contiguous run of rows
+    lo = bisect.bisect_left(frame.dates, spec.train_start)
+    mid = bisect.bisect_right(frame.dates, spec.train_end)
+    hi = bisect.bisect_right(frame.dates, spec.test_end)
+    if lo == mid or mid == hi:
         raise DataError("split produced an empty partition")
 
-    def _take(mask) -> FeatureFrame:
-        idx = np.flatnonzero(mask)
-        return FeatureFrame(
-            frame.model_id,
-            tuple(frame.dates[i] for i in idx),
-            frame.values[idx],
-            frame.target_returns[idx],
-        )
+    def _rows(start: int, stop: int) -> FeatureFrame:
+        return FeatureFrame(frame.model_id, frame.dates[start:stop], frame.values[start:stop],
+                            frame.target_returns[start:stop])
 
-    return _take(in_train), _take(in_test)
+    return _rows(lo, mid), _rows(mid, hi)
 
 
 def synth_generate(

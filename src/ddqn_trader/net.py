@@ -15,17 +15,20 @@ activations and gradients of a batch live in a reusable :class:`Workspace`,
 whose one call, :meth:`Workspace.loss_and_grads`, is a gradient step: it
 gathers the train rows of an earlier layers-1–2 pass (:func:`hidden`, which
 raises on a non-finite value where it finds one), draws the dropout mask
-and runs the output layer, the loss and the backward pass. It holds four
-[batch, width] float64 buffers (a1, a2, the dropout mask and the dropped-out
-layer 2), so a gradient step that keeps its workspace allocates no
-[batch, width] arrays. Each hidden layer's dL/dz goes into one of them once
+and runs the output layer, the loss and the backward pass. It holds three
+[batch, width] float64 buffers (a1, a2 and the dropout mask), so a gradient
+step that keeps its workspace allocates no [batch, width] arrays. Layer 2 is
+dropped out in place, and each hidden layer's dL/dz goes into a buffer once
 its contents are spent: dL/dz2 over the dropped-out layer 2 after dW3 has
-read it, dL/dz1 over a2 after the layer-2 backward factors have.
+read it, dL/dz1 over the mask after the layer-2 backward factors have. Those
+factors regather the undropped a2 rows from the caller's pass, a block at a
+time (keeping fewer live activations and re-reading the rest, as in Chen et
+al., "Training Deep Nets with Sublinear Memory Cost", 2016).
 
 The gradient step's elementwise chains (the dropout draw and mask, the dropped
-layer 2, and the dropout, L2 and ReLU factors of dL/dz2 and dL/dz1) run over
-row blocks of ``TRAIN_BLOCK_ROWS``, so each chain reads a block from memory
-once and not once per operation. Every value is computed by the same
+layer 2, the a2 regather, and the dropout, L2 and ReLU factors of dL/dz2 and
+dL/dz1) run over row blocks of ``TRAIN_BLOCK_ROWS``, so each chain reads a
+block from memory once and not once per operation. Every value is computed by the same
 operations as in one whole-batch pass, so the gradients and the dropout
 generator's state are the same bit for bit. The products stay whole-batch:
 the three weight gradients and the bias sums reduce over rows, and
@@ -195,36 +198,48 @@ class Workspace:
     """Activation and gradient buffers for batches of up to ``batch`` rows.
 
     A gradient step that reuses one allocates no [batch, width] arrays, and
-    the workspace holds four of them: ``a1``, ``a2``, the dropout mask and
-    the dropped-out layer 2. The two hidden gradients reuse spent buffers:
-    dL/dz2 goes over the dropped-out layer 2 once dW3 has read it, and
-    dL/dz1 over ``a2`` (sized for the wider hidden layer) once the layer-2
-    backward factors have read it. The L2 addend has its own one-block tile,
-    and the bool flags' first block holds the ReLU factor, or the kept units
-    while a mask is drawn.
+    the workspace holds three of them: ``a1``, ``a2`` and the dropout mask.
+    Layer 2 is dropped out in place in ``a2``, and the two hidden gradients
+    reuse spent buffers: dL/dz2 goes over the dropped-out layer 2 once dW3
+    has read it, and dL/dz1 over the mask (sized for the wider hidden layer)
+    once the layer-2 backward factors have read it. Those factors need the
+    layer-2 activations that the dropout overwrote, so each row block
+    regathers them from the caller's pass into a one-block tile. The L2
+    addend has a one-block tile too, and the bool flags' first block holds
+    the ReLU factor.
 
     :meth:`loss_and_grads` is one gradient step. The gradients it returns
-    are views into the buffers, overwritten by the next call, and ``mask``
-    holds the call's dropout mask until the next.
+    are views into the buffers, overwritten by the next call. The draw keeps
+    a bool record of the kept units, and ``mask`` builds the call's dropout
+    mask from it.
     """
 
     def __init__(self, config: NetConfig, batch: int):
         batch = padded(batch)  # the output layer runs over padded rows
         h1, h2 = config.hidden_dims
+        tile = min(batch, TRAIN_BLOCK_ROWS)
         self.config = config
         self.x = np.empty((batch, config.input_dim))
         self.a1 = np.empty((batch, h1))
-        self._a2 = np.empty(batch * max(h1, h2))  # a2, then dL/dz1
-        self.a2 = self._a2[: batch * h2].reshape(batch, h2)
+        self.a2 = np.empty((batch, h2))  # a2, dropped out in place, then dL/dz2
         self.q = np.empty((batch, len(Action)))
         self.dq = np.empty((batch, len(Action)))
-        self._mask = np.empty((batch, h2))
-        self._scratch = np.empty(batch * max(h1, h2))  # dropped-out a2, then dL/dz2
-        self._addend = np.empty(min(batch, TRAIN_BLOCK_ROWS) * max(h1, h2))  # L2 terms
+        self._mask = np.empty(batch * max(h1, h2))  # the dropout mask, then dL/dz1
+        self._a2_tile = np.empty(tile * h2)  # a block of a2, regathered
+        self._addend = np.empty(tile * max(h1, h2))  # L2 terms
         self._flags = np.empty(batch * max(h1, h2, len(Action)), dtype=bool)
+        self._kept = np.empty((batch, h2), dtype=bool)  # the units the draw kept
+        self._kept_rows = None  # rows of _kept the last call drew, None without dropout
         self.grads = NetParams(np.empty(param_count(config)), config.layer_shapes)
         self.row_ids = np.arange(batch)  # 0..batch-1, to pick one Q-value per row
-        self.mask: np.ndarray | None = None  # dropout mask of the last call
+
+    @property
+    def mask(self) -> np.ndarray | None:
+        """The dropout mask of the last call, built from its kept units: 1 / keep
+        where a unit was kept, 0 where it was dropped; None without dropout."""
+        if self._kept_rows is None:
+            return None
+        return np.multiply(self._kept_rows, 1.0 / (1.0 - self.config.dropout_rate))
 
     @staticmethod
     def _view(buf: np.ndarray, rows: int, width: int) -> np.ndarray:
@@ -247,36 +262,43 @@ class Workspace:
         The train rows come from an earlier layers-1–2 pass, which
         :func:`hidden` checked for non-finite values: row i is row
         ``index[i]`` of ``x``, ``a1`` and ``a2``. The gathers clip, so every
-        index must already be in range. Layer 2 gets a fresh inverted-dropout
-        mask, drawn from ``rng`` block by block in row order (the same doubles
-        as one whole-batch draw), and the output layer runs over
-        :func:`padded` rows.
+        index must already be in range, and the backward pass reads ``a2``
+        again, so it must not change during the call. Layer 2 gets a fresh
+        inverted-dropout mask, drawn from ``rng`` block by block in row order
+        (the same doubles as one whole-batch draw), and the output layer runs
+        over :func:`padded` rows.
         """
         actions = np.asarray(actions, dtype=np.intp)
         targets = np.asarray(targets, dtype=np.float64)
         n = len(index)
+        if n > len(self.x):
+            raise ValueError(f"a batch of {n} rows does not fit a workspace of {len(self.x)} rows")
         if len(actions) != n or len(targets) != n:
             raise ValueError(f"need {n} actions and targets, got {len(actions)} and {len(targets)}")
+        src_a2 = a2
         for src, dst in ((x, self.x), (a1, self.a1), (a2, self.a2)):
             src.take(index, axis=0, out=dst[:n], mode="clip")
         x, a1, a2 = self.x[:n], self.a1[:n], self.a2[:n]
         if not _all_finite(targets, self._flags):
             raise NumericsError("non-finite targets")
+        l2 = self.config.l2_activity
+        if l2 > 0.0:  # before the dropout overwrites a2
+            flat1, flat2 = a1.ravel(), a2.ravel()
+            squares = float(flat1.dot(flat1) + flat2.dot(flat2))
 
-        rate, p, width = self.config.dropout_rate, padded(n), a2.shape[1]
-        self.mask, dropped = None, self.a2[:p]  # without dropout, layer 2 itself
+        rate, p = self.config.dropout_rate, padded(n)
+        # layer 2 is dropped out in place, if at all
+        dropped, mask, self._kept_rows = self.a2[:p], None, None
         if rate > 0.0:
             if rng is None:
                 raise ValueError("train-mode forward with dropout needs an rng")
             keep = 1.0 - rate
             scale = 1.0 / keep  # a kept unit's mask value, as 1.0 / keep
-            self.mask = self._mask[:n]
-            dropped = self._view(self._scratch, p, width)
-            kept = self._view(self._flags, min(n, TRAIN_BLOCK_ROWS), width)
+            mask, self._kept_rows = self._view(self._mask, n, a2.shape[1]), self._kept[:n]
             for b in _row_blocks(n):
-                mask = rng.random(out=self.mask[b])
-                np.multiply(np.less(mask, keep, out=kept[: len(mask)]), scale, out=mask)
-                np.multiply(a2[b], mask, out=dropped[b])
+                m = rng.random(out=mask[b])
+                np.multiply(np.less(m, keep, out=self._kept_rows[b]), scale, out=m)
+                a2[b] *= m
         dropped[n:] = dropped[n - 1 : n]
         q = head(params, dropped, self.q[:p])[:n]
         if not _all_finite(q, self._flags):
@@ -284,11 +306,9 @@ class Workspace:
 
         rows = self.row_ids[:n]
         err = q[rows, actions] - targets
-        l2 = self.config.l2_activity
         loss = float(np.add.reduce(err * err) / n)  # np.mean(err**2), bit for bit
         if l2 > 0.0:
-            flat1, flat2 = a1.ravel(), a2.ravel()
-            loss += l2 * float(flat1.dot(flat1) + flat2.dot(flat2)) / n
+            loss += l2 * squares / n
         if not math.isfinite(loss):
             raise NumericsError("non-finite loss")
 
@@ -296,31 +316,39 @@ class Workspace:
         dq = self.dq[:n]
         dq.fill(0.0)
         dq[rows, actions] = 2.0 * err / n
-        np.matmul(dropped[:n].T, dq, out=g.weights[2])
+        np.matmul(a2.T, dq, out=g.weights[2])
         np.add.reduce(dq, axis=0, out=g.biases[2])
         # the dropped-out layer 2 is spent: dL/dz2 goes over it
-        dz2 = np.matmul(dq, w[2].T, out=self._view(self._scratch, n, width))
-        self._backward_blocks(dz2, a2, self.mask)
+        dz2 = np.matmul(dq, w[2].T, out=a2)
+        self._backward_blocks(dz2, src_a2, mask, index)
         np.matmul(a1.T, dz2, out=g.weights[1])
         np.add.reduce(dz2, axis=0, out=g.biases[1])
-        # and so is a2: dL/dz1 goes over it
-        dz1 = np.matmul(dz2, w[1].T, out=self._view(self._a2, n, a1.shape[1]))
-        self._backward_blocks(dz1, a1, None)
+        # and so is the mask: dL/dz1 goes over it
+        dz1 = np.matmul(dz2, w[1].T, out=self._view(self._mask, n, a1.shape[1]))
+        self._backward_blocks(dz1, a1, None, None)
         np.matmul(x.T, dz1, out=g.weights[0])
         np.add.reduce(dz1, axis=0, out=g.biases[0])
         return loss, g
 
-    def _backward_blocks(self, dz: np.ndarray, a: np.ndarray, mask: np.ndarray | None) -> None:
+    def _backward_blocks(self, dz: np.ndarray, a: np.ndarray, mask: np.ndarray | None,
+                         index: np.ndarray | None) -> None:
         """dL/dz of a hidden layer from dL/d(its output) in ``dz``, in place and
         block by block: times the dropout mask, plus the L2 term's 2*l2/n * a,
-        times the ReLU mask a > 0."""
-        n, width = a.shape
+        times the ReLU mask a > 0. Row i of the layer's activations is row i
+        of ``a``, or with ``index`` row ``index[i]``, gathered a block at a
+        time."""
+        n, width = dz.shape
         l2 = self.config.l2_activity
         coef = 2.0 * l2 / n
         tile = min(n, TRAIN_BLOCK_ROWS)
         addend, live = self._view(self._addend, tile, width), self._view(self._flags, tile, width)
+        gathered = self._view(self._a2_tile, tile, width) if index is not None else None
         for b in _row_blocks(n):
-            d, ab = dz[b], a[b]
+            d = dz[b]
+            if index is None:
+                ab = a[b]
+            else:
+                ab = a.take(index[b], axis=0, out=gathered[: len(d)], mode="clip")
             if mask is not None:
                 d *= mask[b]
             if l2 > 0.0:
@@ -379,10 +407,11 @@ def loss_and_grads(
     n, x = _padded_states(states, config)
     p = len(x)
     ws = Workspace(config, n)
-    # the mask and the dropped-out layer 2 are free until the step gathers its
-    # train rows, which it does first: the pass goes there, not into two more
-    # [n, width] arrays
-    a1, a2 = ws._scratch[: p * config.hidden_dims[0]].reshape(p, -1), ws._mask[:p]
+    # the mask is free until the step has gathered its train rows, which it
+    # does first: a1 goes there, not into a fresh array. The step reads a2
+    # again in its backward pass, so a2 needs one.
+    a1 = ws._view(ws._mask, p, config.hidden_dims[0])
+    a2 = np.empty((p, config.hidden_dims[1]))
     hidden(params, x, a1, a2, ws._flags)
     return ws.loss_and_grads(params, x, a1, a2, np.arange(n), actions, targets, rng)
 

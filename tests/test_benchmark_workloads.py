@@ -1,17 +1,44 @@
-"""The benchmark's workloads still run on the package's current API.
+"""The benchmark's workloads still run on the package's current API, and their
+seed-0 outputs keep their bytes.
 
 ``benchmarks/workloads.py`` is imported as it stands and one seed-0 iteration
 of a workload runs through it: set-up, prepare, train (train_* only) and
-evaluate. Every phase that checks its outputs must report no problems.
+evaluate. Every phase that checks its outputs must report no problems, and
+each phase's sha256 must equal the one recorded in ``output_digests.json``.
+A change that alters output bytes on purpose updates that table and says why.
+The table also records the numeric environment it was taken in (numpy, the
+BLAS build, the CPU), because the bits rest on the BLAS kernel: a mismatch
+prints it beside the current one, so a different host reads as one.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+RECORDED = json.loads((Path(__file__).resolve().parent / "output_digests.json").read_text())
+
+
+def numeric_environment() -> dict:
+    """The numpy version, the BLAS build string and the CPU model."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without mode="dicts", or no BLAS entry
+        blas = {}
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"numpy": np.__version__,
+            "blas": blas.get("openblas configuration", f"{blas.get('name')} {blas.get('version')}"),
+            "cpu": cpu}
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +57,22 @@ def test_one_benchmark_iteration_reports_no_problems(workloads, tmp_path, name):
     inputs = workloads.setup(w, 0, str(tmp_path))
     prepared = workloads.prepare(w, inputs, str(tmp_path))
     problems = []
+    digests = {"prepare": prepared.digest}
     checkpoint = inputs.checkpoint
     if w.episodes is not None:
         trained = workloads.train(w, prepared, 0, str(tmp_path))
         problems += trained.problems
         checkpoint = trained.checkpoint
+        digests["train"] = trained.digest
     evaluated = workloads.evaluate(w, prepared, checkpoint, 0, str(tmp_path))
     problems += evaluated.problems
+    digests["evaluate"] = evaluated.digest
     assert problems == []
     assert evaluated.env_steps == len(prepared.test_frame) - 1
+    recorded = RECORDED["digests"][name]
+    changed = [phase for phase in recorded if digests.get(phase) != recorded[phase]]
+    assert not changed, (
+        f"{name} seed 0: the output bytes of {', '.join(changed)} differ from "
+        f"output_digests.json\n  recorded in: {RECORDED['environment']}\n"
+        f"  running in:  {numeric_environment()}")
+    assert digests.keys() == recorded.keys()

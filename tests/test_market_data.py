@@ -431,6 +431,33 @@ def test_split_boundary_between_trading_days_loses_nothing():
     assert train.dates[-1] == friday
 
 
+@pytest.mark.parametrize("boundaries", [
+    (0, 69, -1),  # every boundary a row: the first, an inner one, the last
+    ("between", 69, -1),
+    (0, "between", -1),
+    (0, 69, "between"),
+    ("between", "between", "between"),
+])
+def test_split_equals_the_rows_whose_dates_fall_in_each_side(boundaries):
+    # a boundary is a row's date, or a Saturday between a Friday row and the
+    # next Monday's
+    from datetime import timedelta
+
+    frame = build_features(ModelId.M0, synth_map(n=120))
+    fridays = [i for i, d in enumerate(frame.dates) if d.weekday() == 4]
+    saturdays = [frame.dates[fridays[k]] + timedelta(days=1) for k in (0, len(fridays) // 2, -2)]
+    dates = [frame.dates[b] if b != "between" else saturday
+             for b, saturday in zip(boundaries, saturdays)]
+    train, test = split(frame, SplitSpec(*dates))
+    for part, inside in ((train, lambda d: dates[0] <= d <= dates[1]),
+                         (test, lambda d: dates[1] < d <= dates[2])):
+        rows = [i for i, d in enumerate(frame.dates) if inside(d)]
+        assert part.dates == tuple(frame.dates[i] for i in rows)
+        assert part.values.tobytes() == frame.values[rows].tobytes()
+        assert part.target_returns.tobytes() == frame.target_returns[rows].tobytes()
+        assert part.model_id == frame.model_id
+
+
 def test_split_train_end_after_last_date_errors():
     frame = build_features(ModelId.M0, synth_map(n=120))
     from datetime import timedelta

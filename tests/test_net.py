@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ def test_forward_train_dropout_masks():
     rows = load_train_rows(config, params, x)
     actions, targets = np.zeros(len(x), dtype=np.intp), np.zeros(len(x))
     ws.loss_and_grads(params, *rows, actions, targets, rng)
-    mask = ws.mask.copy()  # ws.mask is a view the next call overwrites
+    mask = ws.mask  # built from the kept units, which the next call overwrites
     assert set(np.unique(mask)) <= {0.0, 2.0}  # inverted scaling 1/(1-p)
     drop_fraction = np.mean(mask == 0.0)
     assert 0.45 < drop_fraction < 0.55
@@ -434,16 +435,70 @@ def _owned_nbytes(ws):
     return sum(arr.nbytes for arr in roots.values())
 
 
-def test_workspace_holds_four_batch_wide_buffers():
-    # a1, a2 (dL/dz1 goes over it), the dropout mask and the dropped-out
-    # layer 2 (dL/dz2 goes over it): no [B, h] buffer of its own for either
-    # gradient, only a one-block tile for the L2 terms
+def test_workspace_holds_three_batch_wide_buffers():
+    # a1, a2 (dropped out in place, then dL/dz2) and the dropout mask (then
+    # dL/dz1): no [B, h] buffer of its own for the dropped-out layer 2 or
+    # either gradient, only one-block tiles for the regathered a2 and the L2
+    # terms, and two bool arrays (the flags and the kept units)
     config = NetConfig(input_dim=8)
     b, h = 4096, max(config.hidden_dims)
     narrow = config.input_dim + 2 * len(Action) + 1  # x, q, dq and row_ids, 8 bytes a cell
-    bound = (8 * b * (4 * h + narrow) + 8 * TRAIN_BLOCK_ROWS * h
-             + b * h + 8 * param_count(config))  # the bool flags and the gradients
-    assert _owned_nbytes(Workspace(config, b)) <= bound
+    bound = (8 * b * (3 * h + narrow) + 2 * 8 * TRAIN_BLOCK_ROWS * h
+             + 2 * b * h + 8 * param_count(config))  # the bool arrays and the gradients
+    assert _owned_nbytes(Workspace(config, b)) <= bound < 7.6 * 2**20
+
+
+def _traced_peak(call) -> int:
+    """Bytes by which ``call()`` raises tracemalloc's traced peak over what
+    was traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_steady_state_gradient_step_allocates_no_batch_wide_array():
+    # at the paper's batch, with dropout and the L2 penalty, a train_step after
+    # the first (which builds the buffers) allocates less than one [B, 64] array
+    b = 4096
+    config = AgentConfig(net=NetConfig(input_dim=8), batch_size=b, replay_capacity=b)
+    agent = Agent.create(config, seed=0)
+    data = np.random.default_rng(3)
+    buffer = ReplayBuffer(b, data.normal(size=(700, 8)))
+    for i in range(b):
+        buffer.store(i % 699, i % 3, float(data.normal()), i % 50 == 0)
+    for _ in range(2):
+        train_step(agent, buffer)
+    assert _traced_peak(lambda: train_step(agent, buffer)) < 8 * b * 64
+
+
+def test_public_loss_and_grads_holds_four_batch_wide_arrays():
+    # the workspace's three and a fresh a2 for the layers-1–2 pass, which the
+    # backward regathers; the pass's a1 goes into the mask buffer
+    config = NetConfig(input_dim=8)
+    b, h = 4096, max(config.hidden_dims)
+    params = init_params(config, np.random.default_rng(0))
+    data = np.random.default_rng(1)
+    states, actions, targets = data.normal(size=(b, 8)), data.integers(0, 3, b), data.normal(size=b)
+    peak = _traced_peak(lambda: loss_and_grads(params, states, actions, targets, config, data))
+    rest = _owned_nbytes(Workspace(config, b)) - 3 * 8 * b * h  # the workspace but its three
+    slack = 8 * b * (config.input_dim + 8)  # the padded states, and eight [B] vectors
+    assert peak <= 4 * 8 * b * h + rest + slack
+
+
+def test_batch_larger_than_the_workspace_is_rejected():
+    config = NetConfig(input_dim=3)
+    params = init_params(config, np.random.default_rng(0))
+    ws = Workspace(config, 8)
+    rows = load_train_rows(config, params, np.random.default_rng(1).normal(size=(9, 3)))
+    rng = np.random.default_rng(2)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="a batch of 9 rows does not fit a workspace of 8 rows"):
+        ws.loss_and_grads(params, *rows, np.zeros(9, dtype=np.intp), np.zeros(9), rng)
+    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
