@@ -244,9 +244,10 @@ class _FramePass:
     frame ([F, 3]) with the weights copied to ``cache_weights``. It is
     computed at the first step and again whenever the target's weights
     change (a sync, a new target object, an edit in place), and the frame
-    must not change while it is kept. A row of a padded pass rounds alike
-    wherever it falls, so the targets equal an eval forward's over the B
-    next states, bit for bit.
+    must not change while it is kept. Each transition's bootstrapped value
+    is picked straight from it, at the next row and the online pass's best
+    action there. A row of a padded pass rounds alike wherever it falls, so
+    the targets equal an eval forward's over the B next states, bit for bit.
     """
 
     def __init__(self, config: NetConfig, states: np.ndarray, batch: int):
@@ -261,13 +262,12 @@ class _FramePass:
         self.src = np.empty(n, dtype=np.intp)  # frame rows of the padded online pass
         self.x, self.a1, self.a2, self.pass_q = (
             np.empty((n, width)) for width in (config.input_dim, h1, h2, len(Action)))
-        self.flags = np.empty(n * max(h1, h2), dtype=bool)
         self.cache = None  # the target's Q-values over the frame, from the first step on
         self.cache_weights = np.empty(net.param_count(config))
         self.rows, self.next_rows, self.index, self.next_index, self.actions, self.best = (
             np.empty(batch, dtype=np.intp) for _ in range(6))
         self.rewards, self.dones = np.empty(batch), np.empty(batch, dtype=bool)
-        self.q = np.empty((batch, len(Action)))
+        self.q = np.empty((batch, len(Action)))  # the online Q-values of the next rows
 
     def targets(self, online: NetParams, target: NetParams, gamma: float) -> np.ndarray:
         """Double-Q targets of the batch loaded into ``rows``, ``rewards`` and
@@ -285,7 +285,7 @@ class _FramePass:
         src[:m] = touched_rows
         src[m:] = touched_rows[-1]
         self.states.take(src, axis=0, out=self.x[:n], mode="clip")
-        net.hidden(online, self.x[:n], self.a1[:n], self.a2[:n], self.flags)
+        net.hidden(online, self.x[:n], self.a1[:n], self.a2[:n], check=True)
         q = net.head(online, self.a2[:n], self.pass_q[:n])
         self.slot.take(self.rows, out=self.index, mode="clip")
         self.slot.take(self.next_rows, out=self.next_index, mode="clip")
@@ -297,8 +297,7 @@ class _FramePass:
         if self.cache is None or not np.logical_and.reduce(same, axis=None):
             self.cache = net.forward(target, self.states, self.ws.config)
             np.copyto(self.cache_weights, target.flat)
-        self.cache.take(self.next_rows, axis=0, out=self.q, mode="clip")
-        bootstrapped = self.q[self.ws.row_ids[: len(self.rows)], self.best]
+        bootstrapped = self.cache[self.next_rows, self.best]
         return self.rewards + gamma * bootstrapped * ~self.dones
 
 

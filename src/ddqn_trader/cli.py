@@ -56,9 +56,6 @@ from .training import (
     write_summary_json,
 )
 
-ASSET_ROLES = ("spx", "russell", "wti", "gold")
-
-
 def _parse_bool(s: str) -> bool:
     if s.lower() in ("true", "1", "yes"):
         return True
@@ -94,7 +91,7 @@ CONFIG_KEYS: dict[str, tuple] = {
     "early_stop_streak": (int, TrainConfig, "early_stop_streak"),
     **{key: (date.fromisoformat, SplitSpec, key)
        for key in ("train_start", "train_end", "test_end")},
-    **{f"data.{role}": (str, load_csv, "path") for role in ASSET_ROLES},
+    **{f"data.{role}": (str, load_csv, "path") for role in MODEL_ROLES[ModelId.M3]},
 }
 
 

@@ -14,16 +14,18 @@ Parameters live in one float64 vector with per-layer views into it, and the
 activations and gradients of a batch live in a reusable :class:`Workspace`,
 whose one call, :meth:`Workspace.loss_and_grads`, is a gradient step: it
 gathers the train rows of an earlier layers-1–2 pass (:func:`hidden`, which
-raises on a non-finite value where it finds one), draws the dropout mask
-and runs the output layer, the loss and the backward pass. It holds three
-[batch, width] float64 buffers (a1, a2 and the dropout mask), so a gradient
-step that keeps its workspace allocates no [batch, width] arrays. Layer 2 is
-dropped out in place, and each hidden layer's dL/dz goes into a buffer once
-its contents are spent: dL/dz2 over the dropped-out layer 2 after dW3 has
-read it, dL/dz1 over the mask after the layer-2 backward factors have. Those
-factors regather the undropped a2 rows from the caller's pass, a block at a
-time (keeping fewer live activations and re-reading the rest, as in Chen et
-al., "Training Deep Nets with Sublinear Memory Cost", 2016).
+with ``check=True`` raises on a non-finite value where it finds one), draws
+the dropout mask and runs the output layer, the loss and the backward pass.
+It holds three [batch, width] float64 buffers (a1, a2 and the dropout mask),
+so a gradient step that keeps its workspace allocates no [batch, width]
+arrays. Layer 2 is dropped out in place, and each gradient goes into a buffer
+once its contents are spent: dL/dq over the Q-values once the error is
+taken, dL/dz2 over the dropped-out layer 2 after dW3 has read it, dL/dz1 over
+the mask after the layer-2 backward factors have. Those factors regather the
+undropped a2 rows from the caller's pass, a block at a time (keeping fewer
+live activations and re-reading the rest, as in Chen et al., "Training Deep
+Nets with Sublinear Memory Cost", 2016). A finite check reads its array
+alone, through its minimum and maximum, so none keeps a bool scratch.
 
 The gradient step's elementwise chains (the dropout draw and mask, the dropped
 layer 2, the a2 regather, and the dropout, L2 and ReLU factors of dL/dz2 and
@@ -165,25 +167,25 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None 
     return out
 
 
-def _all_finite(arr: np.ndarray, flags: np.ndarray) -> bool:
-    """np.isfinite(arr).all(), written into the bool scratch ``flags``. The
-    ufunc is the one .all() calls, without the Python frame of numpy's
-    ``_methods._all``."""
-    ok = np.isfinite(arr, out=flags[: arr.size].reshape(arr.shape))
-    return bool(np.logical_and.reduce(ok, axis=None))
+def _all_finite(arr: np.ndarray) -> bool:
+    """np.isfinite(arr).all(), from the array alone: the minimum and maximum
+    reductions both propagate a NaN, and an infinity is one or the other.
+    ``initial`` makes an empty array finite, where a bare reduce raises."""
+    return (math.isfinite(np.minimum.reduce(arr, axis=None, initial=0.0))
+            and math.isfinite(np.maximum.reduce(arr, axis=None, initial=0.0)))
 
 
-def hidden(params: NetParams, x: np.ndarray, a1=None, a2=None, flags=None) -> np.ndarray:
+def hidden(params: NetParams, x: np.ndarray, a1=None, a2=None, check=False) -> np.ndarray:
     """Layers 1–2, each ReLU applied in place on its pre-activation (a > 0
     exactly where z > 0, so the backward pass reads the mask off a).
 
-    Returns a2. Given the bool scratch ``flags``, raises NumericsError naming
-    the first layer whose pre-activations hold a non-finite value.
+    Returns a2. With ``check``, raises NumericsError naming the first layer
+    whose pre-activations hold a non-finite value.
     """
     a = x
     for i, out in enumerate((a1, a2)):
         a = _affine(a, params.weights[i], params.biases[i], out)
-        if flags is not None and not _all_finite(a, flags):
+        if check and not _all_finite(a):
             raise NumericsError(f"non-finite values in hidden layer {i + 1}")
         np.maximum(a, 0.0, out=a)
     return a
@@ -199,14 +201,14 @@ class Workspace:
 
     A gradient step that reuses one allocates no [batch, width] arrays, and
     the workspace holds three of them: ``a1``, ``a2`` and the dropout mask.
-    Layer 2 is dropped out in place in ``a2``, and the two hidden gradients
-    reuse spent buffers: dL/dz2 goes over the dropped-out layer 2 once dW3
-    has read it, and dL/dz1 over the mask (sized for the wider hidden layer)
-    once the layer-2 backward factors have read it. Those factors need the
-    layer-2 activations that the dropout overwrote, so each row block
-    regathers them from the caller's pass into a one-block tile. The L2
-    addend has a one-block tile too, and the bool flags' first block holds
-    the ReLU factor.
+    Layer 2 is dropped out in place in ``a2``, and the gradients reuse spent
+    buffers: dL/dq goes over the Q-values ``q`` once the error is taken,
+    dL/dz2 over the dropped-out layer 2 once dW3 has read it, and dL/dz1
+    over the mask (sized for the wider hidden layer) once the layer-2
+    backward factors have read it. Those factors need the layer-2
+    activations that the dropout overwrote, so each row block regathers them
+    from the caller's pass into a one-block tile. The L2 addend and the ReLU
+    factor have one-block tiles too.
 
     :meth:`loss_and_grads` is one gradient step. The gradients it returns
     are views into the buffers, overwritten by the next call. The draw keeps
@@ -222,12 +224,11 @@ class Workspace:
         self.x = np.empty((batch, config.input_dim))
         self.a1 = np.empty((batch, h1))
         self.a2 = np.empty((batch, h2))  # a2, dropped out in place, then dL/dz2
-        self.q = np.empty((batch, len(Action)))
-        self.dq = np.empty((batch, len(Action)))
+        self.q = np.empty((batch, len(Action)))  # Q-values, then dL/dq
         self._mask = np.empty(batch * max(h1, h2))  # the dropout mask, then dL/dz1
         self._a2_tile = np.empty(tile * h2)  # a block of a2, regathered
         self._addend = np.empty(tile * max(h1, h2))  # L2 terms
-        self._flags = np.empty(batch * max(h1, h2, len(Action)), dtype=bool)
+        self._live = np.empty(tile * max(h1, h2), dtype=bool)  # a block's ReLU factor
         self._kept = np.empty((batch, h2), dtype=bool)  # the units the draw kept
         self._kept_rows = None  # rows of _kept the last call drew, None without dropout
         self.grads = NetParams(np.empty(param_count(config)), config.layer_shapes)
@@ -279,7 +280,7 @@ class Workspace:
         for src, dst in ((x, self.x), (a1, self.a1), (a2, self.a2)):
             src.take(index, axis=0, out=dst[:n], mode="clip")
         x, a1, a2 = self.x[:n], self.a1[:n], self.a2[:n]
-        if not _all_finite(targets, self._flags):
+        if not _all_finite(targets):
             raise NumericsError("non-finite targets")
         l2 = self.config.l2_activity
         if l2 > 0.0:  # before the dropout overwrites a2
@@ -301,7 +302,7 @@ class Workspace:
                 a2[b] *= m
         dropped[n:] = dropped[n - 1 : n]
         q = head(params, dropped, self.q[:p])[:n]
-        if not _all_finite(q, self._flags):
+        if not _all_finite(q):
             raise NumericsError("non-finite values in output layer")
 
         rows = self.row_ids[:n]
@@ -313,7 +314,7 @@ class Workspace:
             raise NumericsError("non-finite loss")
 
         w, g = params.weights, self.grads
-        dq = self.dq[:n]
+        dq = q  # the Q-values are spent once err is taken: dL/dq goes over them
         dq.fill(0.0)
         dq[rows, actions] = 2.0 * err / n
         np.matmul(a2.T, dq, out=g.weights[2])
@@ -341,7 +342,7 @@ class Workspace:
         l2 = self.config.l2_activity
         coef = 2.0 * l2 / n
         tile = min(n, TRAIN_BLOCK_ROWS)
-        addend, live = self._view(self._addend, tile, width), self._view(self._flags, tile, width)
+        addend, live = self._view(self._addend, tile, width), self._view(self._live, tile, width)
         gathered = self._view(self._a2_tile, tile, width) if index is not None else None
         for b in _row_blocks(n):
             d = dz[b]
@@ -412,7 +413,7 @@ def loss_and_grads(
     # again in its backward pass, so a2 needs one.
     a1 = ws._view(ws._mask, p, config.hidden_dims[0])
     a2 = np.empty((p, config.hidden_dims[1]))
-    hidden(params, x, a1, a2, ws._flags)
+    hidden(params, x, a1, a2, check=True)
     return ws.loss_and_grads(params, x, a1, a2, np.arange(n), actions, targets, rng)
 
 

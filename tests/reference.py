@@ -161,5 +161,5 @@ def load_train_rows(config: NetConfig, params: NetParams, states: np.ndarray):
     ``net.loss_and_grads`` passes them: (x, a1, a2, index)."""
     n, (h1, h2) = len(states), config.hidden_dims
     a1, a2 = np.empty((n, h1)), np.empty((n, h2))
-    hidden(params, states, a1, a2, np.empty(n * max(h1, h2), dtype=bool))
+    hidden(params, states, a1, a2, check=True)
     return states, a1, a2, np.arange(n)

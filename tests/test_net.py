@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,7 @@ from ddqn_trader.net import (
     NetConfig,
     NetParams,
     Workspace,
+    _all_finite,
     adam_step,
     forward,
     head,
@@ -281,6 +284,29 @@ def test_non_finite_targets_rejected():
         loss_and_grads(params, np.ones((1, 2)), np.array([0]), np.array([np.nan]), config)
 
 
+def _finite_check_arrays():
+    """Arrays of shapes [n], [n, 3] and [n, 64]: all finite, and with one NaN
+    or infinity planted at the first, a middle and the last element."""
+    for n in (1, 3, 513):
+        for shape in ((n,), (n, 3), (n, 64)):
+            base = np.random.default_rng(n).normal(size=shape)
+            yield base
+            for value in (np.nan, np.inf, -np.inf):
+                for at in (0, base.size // 2, base.size - 1):
+                    planted = base.copy()
+                    planted.flat[at] = value
+                    yield planted
+
+
+def test_finite_check_agrees_with_isfinite():
+    tiny, big = math.ulp(0.0), sys.float_info.max  # the smallest subnormal, the largest double
+    edges = np.array([0.0, -0.0, tiny, -tiny, big, -big])
+    cases = [*_finite_check_arrays(), edges, np.tile(edges, (513, 1)), np.full(3, -big),
+             np.full((3, 64), tiny), np.empty(0), np.empty((0, 3))]
+    for arr in cases:
+        assert _all_finite(arr) is bool(np.isfinite(arr).all()), arr
+
+
 def test_activity_penalty_strictly_positive():
     base = NetConfig(input_dim=2, dropout_rate=0.0, l2_activity=0.0)
     penalized = NetConfig(input_dim=2, dropout_rate=0.0, l2_activity=1e-6)
@@ -315,7 +341,7 @@ def _train_rows(config, params, n, plant):
     data = np.random.default_rng(n)
     x = data.normal(size=(n, config.input_dim))
     a1, a2 = np.empty((n, config.hidden_dims[0])), np.empty((n, config.hidden_dims[1]))
-    hidden(params, x, a1, a2, np.empty(n * 64, dtype=bool))
+    hidden(params, x, a1, a2, check=True)
     if plant is not None:
         {"a1": a1, "a2": a2}[plant][n - 1, 5] = np.nan
     return x, a1, a2, data.integers(0, 3, size=n), data.normal(size=n)
@@ -377,6 +403,7 @@ def test_blocked_gradient_step_fails_like_reference(n, plant, l2, message):
 @pytest.mark.parametrize("plant, message", [
     ("x", "non-finite values in hidden layer 1"),  # NaN in the states' first column
     ("b2", "non-finite values in hidden layer 2"),  # NaN in layer 2's first bias
+    ("x_last", "non-finite values in hidden layer 1"),  # +inf in the pass's last row
 ])
 @pytest.mark.parametrize("path", ["frame", "public"])
 @pytest.mark.parametrize("n", [3, 513, 1029])
@@ -390,6 +417,11 @@ def test_non_finite_hidden_layer_raises_before_the_dropout_draw(n, path, plant, 
     states = np.random.default_rng(n).normal(size=(n + 1, 5))
     if plant == "x":
         states[:, 0] = np.nan
+    elif plant == "x_last":
+        # train_step's pass runs over the rows its replay draw touches, in
+        # order, the last of them the next row of the highest slot drawn
+        slots = copy.deepcopy(agent._replay_rng).integers(0, n, size=n)
+        states[slots.max() + 1 if path == "frame" else n - 1, 0] = np.inf
     else:
         agent.online.biases[1][0] = np.nan
     rewards = np.full(n, np.nan if nan_targets else 0.5)
@@ -424,28 +456,52 @@ def test_loss_is_mean_squared_error_plus_dot_penalty_bit_for_bit(n):
     assert loss.hex() == expected.hex()
 
 
+def _roots(*arrays):
+    """The distinct buffers behind ``arrays``, by id."""
+    roots = {}
+    for arr in arrays:
+        while arr.base is not None:
+            arr = arr.base
+        roots[id(arr)] = arr
+    return roots
+
+
 def _owned_nbytes(ws):
     """Bytes of the distinct buffers behind the workspace's arrays."""
-    roots = {}
-    for arr in [*vars(ws).values(), ws.grads.flat]:
-        if isinstance(arr, np.ndarray):
-            while arr.base is not None:
-                arr = arr.base
-            roots[id(arr)] = arr
-    return sum(arr.nbytes for arr in roots.values())
+    arrays = [a for a in (*vars(ws).values(), ws.grads.flat) if isinstance(a, np.ndarray)]
+    return sum(arr.nbytes for arr in _roots(*arrays).values())
 
 
 def test_workspace_holds_three_batch_wide_buffers():
     # a1, a2 (dropped out in place, then dL/dz2) and the dropout mask (then
     # dL/dz1): no [B, h] buffer of its own for the dropped-out layer 2 or
-    # either gradient, only one-block tiles for the regathered a2 and the L2
-    # terms, and two bool arrays (the flags and the kept units)
+    # either gradient, only one-block tiles for the regathered a2, the L2
+    # terms and the ReLU factor, and one batch-wide bool array (the kept units)
     config = NetConfig(input_dim=8)
     b, h = 4096, max(config.hidden_dims)
-    narrow = config.input_dim + 2 * len(Action) + 1  # x, q, dq and row_ids, 8 bytes a cell
+    narrow = config.input_dim + len(Action) + 1  # x, q (then dL/dq) and row_ids, 8 bytes a cell
     bound = (8 * b * (3 * h + narrow) + 2 * 8 * TRAIN_BLOCK_ROWS * h
-             + 2 * b * h + 8 * param_count(config))  # the bool arrays and the gradients
-    assert _owned_nbytes(Workspace(config, b)) <= bound < 7.6 * 2**20
+             + b * h + TRAIN_BLOCK_ROWS * h  # the kept units and the ReLU factor's tile
+             + 8 * param_count(config))  # the gradients
+    assert _owned_nbytes(Workspace(config, b)) <= bound < 7.2 * 2**20
+
+
+def test_gradient_step_keeps_no_bool_scratch_for_its_finite_checks():
+    # the kept units, the ReLU factor's one-block tile and the frame's touched
+    # rows; beside them only the batch's done flags, which the replay fills
+    b = 1029
+    config = AgentConfig(net=NetConfig(input_dim=5, hidden_dims=(48, 64)), batch_size=b,
+                         replay_capacity=b)
+    agent = Agent.create(config, seed=0)
+    buffer = ReplayBuffer(b, np.random.default_rng(3).normal(size=(700, 5)))
+    for i in range(b):
+        buffer.store(i % 699, i % 3, 0.5, False)
+    train_step(agent, buffer)
+    frame, ws = agent._frame, agent._frame.ws
+    owned = [arr for owner in (frame, ws) for arr in vars(owner).values()
+             if isinstance(arr, np.ndarray) and arr.dtype == bool]
+    assert _roots(*owned).keys() == _roots(ws._kept, ws._live, frame.touched, frame.dones).keys()
+    assert ws._live.size == TRAIN_BLOCK_ROWS * 64
 
 
 def _traced_peak(call) -> int:
